@@ -5,7 +5,9 @@ baseline, the combined sampler with a random or a biased (random-walk)
 sketch, and the two transfer variants (similar-object or actual-object
 modes). Every run is driven by one seed: phase generators (demonstrations,
 sketch, chain) are spawned from it in a fixed order, so runs with the same
-seed share demonstrations across presets and are exactly reproducible.
+seed share demonstrations across presets and are exactly reproducible. The
+demonstration search of one (object, seed) runs once per process and is
+reused by every preset that needs it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import io
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +59,7 @@ EXPERIMENTS = (
     TRANSFER_ACTUAL_MODES,
 )
 TRANSFER_EXPERIMENTS = (TRANSFER_SIMILAR_MODES, TRANSFER_ACTUAL_MODES)
+DEMONSTRATION_CACHE_SIZE = 64  # (object, seed, count, gripper, evaluation) searches kept
 
 
 @dataclass(frozen=True)
@@ -168,6 +172,32 @@ def _phase_rngs(seed: int) -> dict[str, np.random.Generator]:
     return {name: np.random.default_rng(seq) for name, seq in zip(names, children)}
 
 
+@lru_cache(maxsize=DEMONSTRATION_CACHE_SIZE)
+def _demonstrations(
+    object_name: str,
+    seed: int,
+    count: int,
+    gripper: GripperModel,
+    eval_config: EvaluationConfig,
+) -> tuple[Grasp, ...]:
+    """The demonstrations of every run with this object and seed, searched
+    once per process and handed out with read-only arrays.
+
+    The search draws only from the seed's own "demonstrations" generator,
+    so reusing its grasps cannot change a run. A DemonstrationFailure is not
+    cached: it is raised again on every call.
+    """
+    rng = _phase_rngs(seed)["demonstrations"]
+    grasps = tuple(
+        grasp
+        for grasp, _ in demonstrate_grasps(get_object(object_name), gripper, count, rng, eval_config)
+    )
+    for grasp in grasps:
+        grasp.position.flags.writeable = False
+        grasp.orientation.flags.writeable = False
+    return grasps
+
+
 def _trace_rows(history: ChainHistory) -> list[dict]:
     rows = []
     for state, density, accepted, record, move in zip(
@@ -206,20 +236,20 @@ def run_experiment(
     total = config.burn_in + config.iterations
     sketch_evaluations = 0
     model: LearnedModel | None = None
+    if config.experiment in TRANSFER_EXPERIMENTS and source is None:
+        if not config.source_model:
+            raise MissingSourceModel(f"{config.experiment} requires a source model")
+        with open(config.source_model, "r", encoding="utf-8") as fh:
+            source = model_from_document(fh.read())
+    if config.experiment != TRANSFER_SIMILAR_MODES:
+        demos = list(
+            _demonstrations(
+                config.object_name, config.seed, config.demonstration_count, gripper, eval_config
+            )
+        )
 
     if config.experiment in TRANSFER_EXPERIMENTS:
-        if source is None:
-            if not config.source_model:
-                raise MissingSourceModel(f"{config.experiment} requires a source model")
-            with open(config.source_model, "r", encoding="utf-8") as fh:
-                source = model_from_document(fh.read())
         if config.experiment == TRANSFER_ACTUAL_MODES:
-            demos = [
-                d
-                for d, _ in demonstrate_grasps(
-                    obj, gripper, config.demonstration_count, rngs["demonstrations"], eval_config
-                )
-            ]
             mode_source, actual = ACTUAL_OBJECT_MODES, demos
         else:
             mode_source, actual = SIMILAR_OBJECT_MODES, None
@@ -238,12 +268,6 @@ def run_experiment(
         )
         history = model.chain
     elif config.experiment == RANDOM_WALK_BASELINE:
-        demos = [
-            d
-            for d, _ in demonstrate_grasps(
-                obj, gripper, config.demonstration_count, rngs["demonstrations"], eval_config
-            )
-        ]
         history = ChainHistory(proposal_sourced=True)
         build_rough_sketch(
             obj,
@@ -257,12 +281,6 @@ def run_experiment(
             history=history,
         )
     else:
-        demos = [
-            d
-            for d, _ in demonstrate_grasps(
-                obj, gripper, config.demonstration_count, rngs["demonstrations"], eval_config
-            )
-        ]
         if config.experiment == ACTIVE_BIASED_INIT:
             sketch = build_rough_sketch(
                 obj,

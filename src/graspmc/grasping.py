@@ -98,28 +98,78 @@ def workspace_bounds(
     return obj.bounds_lo - margin, obj.bounds_hi + margin
 
 
-def _march_contact(
-    obj: ObjectModel, start: np.ndarray, direction: np.ndarray, span: float, tol: float
+BISECTION_LEVELS = 8  # most bisection steps of one line resolved per distance call
+
+
+def _bisect(
+    obj: ObjectModel,
+    starts: np.ndarray,
+    directions: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    tol: float,
+) -> np.ndarray:
+    """Bisect each line's bracket [lo, hi] on its surface crossing to width tol.
+
+    Equal to running `while hi - lo > tol: mid = 0.5 * (lo + hi)`, keeping
+    the half whose end is inside, on every line, but with one distance call
+    per BISECTION_LEVELS steps: the call evaluates every midpoint the
+    bisections could visit, built by the same recurrence, and the steps are
+    then replayed on the midpoints' signs.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    while np.any(hi - lo > tol):
+        lines = np.nonzero(hi - lo > tol)[0]
+        level_lo, level_hi = lo[lines, None], hi[lines, None]
+        mids = []
+        while len(mids) < BISECTION_LEVELS and np.any(level_hi - level_lo > tol):
+            mid = 0.5 * (level_lo + level_hi)
+            mids.append(mid)
+            # children of node j at the next level: 2j = (lo, mid), 2j + 1 = (mid, hi)
+            level_lo = np.stack([level_lo, mid], axis=-1).reshape(len(lines), -1)
+            level_hi = np.stack([mid, level_hi], axis=-1).reshape(len(lines), -1)
+        ts = np.concatenate(mids, axis=1)
+        points = starts[lines, None, :] + ts[:, :, None] * directions[lines, None, :]
+        inside = obj.distance(points.reshape(-1, 3)).reshape(ts.shape) <= 0.0
+        for row, line in enumerate(lines):
+            node = 0
+            for level in range(len(mids)):
+                if not hi[line] - lo[line] > tol:
+                    break
+                index = 2**level - 1 + node
+                if inside[row, index]:
+                    hi[line] = ts[row, index]
+                    node = 2 * node
+                else:
+                    lo[line] = ts[row, index]
+                    node = 2 * node + 1
+    return starts + (0.5 * (lo + hi))[:, None] * directions
+
+
+def _jaw_contacts(
+    obj: ObjectModel, starts: np.ndarray, directions: np.ndarray, span: float, tol: float
 ) -> np.ndarray | None:
-    """First surface crossing walking from start along direction, or None."""
+    """First surface crossing on each line from starts[i] along directions[i],
+    or None when some line has none within span.
+
+    One distance call samples every line at 129 points; a line whose first
+    sample is inside contacts there, the others bisect their first
+    crossing's bracket to width tol.
+    """
     steps = 128
     ts = np.linspace(0.0, span, steps + 1)
-    points = start[None, :] + ts[:, None] * direction[None, :]
-    d = obj.distance(points)
-    if d[0] <= 0.0:
-        return points[0]
-    crossing = np.nonzero(d <= 0.0)[0]
-    if crossing.size == 0:
+    points = starts[:, None, :] + ts[None, :, None] * directions[:, None, :]
+    inside = obj.distance(points.reshape(-1, 3)).reshape(len(starts), -1) <= 0.0
+    if not np.all(np.any(inside, axis=1)):
         return None
-    hi_idx = int(crossing[0])
-    lo, hi = ts[hi_idx - 1], ts[hi_idx]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if float(obj.distance(start + mid * direction)) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return start + 0.5 * (lo + hi) * direction
+    first = np.argmax(inside, axis=1)
+    contacts = points[np.arange(len(starts)), first]
+    lines = np.nonzero(first > 0)[0]
+    if lines.size:
+        contacts[lines] = _bisect(
+            obj, starts[lines], directions[lines], ts[first[lines] - 1], ts[first[lines]], tol
+        )
+    return contacts
 
 
 def evaluate_grasp(
@@ -151,17 +201,18 @@ def evaluate_grasp(
 
     closing = rotation @ CLOSING_AXIS
     half_span = 0.5 * gripper.jaw_span
-    contacts = []
-    for side in (1.0, -1.0):
-        start = grasp.position + side * half_span * closing
-        contact = _march_contact(
-            obj, start, -side * closing, gripper.jaw_span, config.contact_tolerance
-        )
-        if contact is None:
-            return GraspOutcome(MISS, 0.0)
-        contacts.append(contact)
+    sides = np.array([[1.0], [-1.0]])
+    contacts = _jaw_contacts(
+        obj,
+        grasp.position + sides * half_span * closing,
+        -sides * closing,
+        gripper.jaw_span,
+        config.contact_tolerance,
+    )
+    if contacts is None:
+        return GraspOutcome(MISS, 0.0)
 
-    normals = obj.normal(np.asarray(contacts), h=config.gradient_step)
+    normals = obj.normal(contacts, h=config.gradient_step)
     n1, n2 = normals[0], normals[1]
     antipodality = max(0.0, -float(n1 @ n2))
     cos_friction = 1.0 / np.sqrt(1.0 + config.friction_coefficient**2)

@@ -61,7 +61,9 @@ def _probe_lattice(gripper: GripperModel, pitch: float) -> np.ndarray:
             axes.append(np.linspace(center[axis] - half[axis], center[axis] + half[axis], count))
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
         points.append(grid)
-    return np.concatenate(points, axis=0)
+    lattice = np.concatenate(points, axis=0)
+    lattice.flags.writeable = False  # the cache hands this one array to every caller
+    return lattice
 
 
 def probe_points(gripper: GripperModel, pitch: float = 0.005) -> np.ndarray:

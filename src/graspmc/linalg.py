@@ -83,10 +83,18 @@ def sample_gaussian(
 
 
 def gaussian_logpdf(x: np.ndarray, mean: np.ndarray, covariance: np.ndarray) -> float:
-    """Log density of N(mean, covariance) at x; covariance must be PD."""
+    """Log density of N(mean, covariance) at x; covariance must be PD.
+
+    Raises NonSymmetricCovariance, or DecompositionFailure when the
+    covariance is not positive definite.
+    """
     x = np.asarray(x, dtype=float)
     mean = np.asarray(mean, dtype=float)
-    factor = np.linalg.cholesky(require_symmetric(covariance))
+    covariance = require_symmetric(covariance)
+    try:
+        factor = np.linalg.cholesky(covariance)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionFailure(f"covariance is not positive definite: {exc}") from exc
     diff = x - mean
     y = np.linalg.solve(factor, diff)
     log_det = 2.0 * float(np.sum(np.log(np.diag(factor))))

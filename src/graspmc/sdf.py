@@ -35,14 +35,13 @@ class Sdf:
         return Difference(self, other)
 
     def gradient(self, points: np.ndarray, h: float = 1e-5) -> np.ndarray:
-        """Central-difference gradient, vectorized over points."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        grads = np.empty_like(points)
-        for axis in range(3):
-            offset = np.zeros(3)
-            offset[axis] = h
-            grads[:, axis] = (self.distance(points + offset) - self.distance(points - offset)) / (2 * h)
-        return grads
+        """Central-difference gradient: one distance call on all six +/-h
+        offsets of every point."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))[:, None, :]
+        offsets = h * np.eye(3)
+        stencil = np.concatenate([points + offsets, points - offsets], axis=1)
+        d = self.distance(stencil.reshape(-1, 3)).reshape(-1, 6)
+        return (d[:, :3] - d[:, 3:]) / (2 * h)
 
     def normal(self, points: np.ndarray, h: float = 1e-5) -> np.ndarray:
         g = self.gradient(points, h)

@@ -20,15 +20,6 @@ class TargetValue(NamedTuple):
 TargetFn = Callable[[np.ndarray], TargetValue]
 
 
-def as_target(fn: Callable[[np.ndarray], float]) -> TargetFn:
-    """Wrap a plain density function into the TargetValue contract."""
-
-    def wrapped(state: np.ndarray) -> TargetValue:
-        return TargetValue(float(fn(state)), None)
-
-    return wrapped
-
-
 def gaussian_mixture_target(centers: np.ndarray, sigma: float) -> TargetFn:
     """Equal-weight isotropic Gaussian mixture, a standard sampler benchmark."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))

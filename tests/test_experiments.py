@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from graspmc import experiments
 from graspmc.cli import main as cli_main
-from graspmc.errors import MissingSourceModel
+from graspmc.errors import DemonstrationFailure, MissingSourceModel
 from graspmc.experiments import (
     ACTIVE_BIASED_INIT,
     ACTIVE_RANDOM_INIT,
@@ -19,7 +20,10 @@ from graspmc.experiments import (
     result_to_document,
     run_experiment,
 )
+from graspmc.grasping import DEFAULT_EVALUATION, EvaluationConfig, demonstrate_grasps
+from graspmc.gripper import GripperModel, default_gripper
 from graspmc.learning import Tally
+from graspmc.objects import get_object
 from graspmc.serialization import model_to_document
 
 SHORT = dict(iterations=60, burn_in=20)
@@ -332,3 +336,70 @@ class TestCli:
         assert effective["iterations"] == 30
         assert effective["kappa"] == 25.0
         assert effective["burn_in"] == 5
+
+
+class TestDemonstrationMemo:
+    """run_experiment searches for demonstrations once per (object, seed,
+    count, gripper, evaluation config) in a process."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+
+        def counted(obj, *args, **kwargs):
+            calls.append(obj.name)
+            return demonstrate_grasps(obj, *args, **kwargs)
+
+        experiments._demonstrations.cache_clear()
+        monkeypatch.setattr(experiments, "demonstrate_grasps", counted)
+        yield calls
+        experiments._demonstrations.cache_clear()
+
+    def test_source_presets_share_one_search(self, searches):
+        for experiment in (RANDOM_WALK_BASELINE, ACTIVE_RANDOM_INIT):
+            cfg = ExperimentConfig(experiment=experiment, object_name="plate", seed=5, **SHORT)
+            record, _ = run_experiment(cfg)
+            assert record.tallies.total == 80
+        assert searches == ["plate"]
+
+    def test_memo_returns_the_search_result(self, searches):
+        gripper = default_gripper()
+        grasps = experiments._demonstrations("plate", 4, 1, gripper, DEFAULT_EVALUATION)
+        rng = experiments._phase_rngs(4)["demonstrations"]
+        fresh = demonstrate_grasps(get_object("plate"), gripper, 1, rng, DEFAULT_EVALUATION)
+        assert [g.to_vector().tolist() for g in grasps] == [g.to_vector().tolist() for g, _ in fresh]
+
+    def test_key_changes_miss(self, searches):
+        gripper = default_gripper()
+        wider = GripperModel(0.07, gripper.finger_length, gripper.finger_width, gripper.palm_depth)
+        grippier = EvaluationConfig(friction_coefficient=0.6)
+        keys = [
+            ("plate", 4, 1, gripper, DEFAULT_EVALUATION),
+            ("plate", 4, 2, gripper, DEFAULT_EVALUATION),
+            ("plate", 4, 1, wider, DEFAULT_EVALUATION),
+            ("plate", 4, 1, gripper, grippier),
+        ]
+        for key in keys + keys:
+            experiments._demonstrations(*key)
+        assert len(searches) == len(keys)
+
+    def test_failure_is_raised_on_every_call(self, monkeypatch, searches):
+        def failing(obj, *args, **kwargs):
+            searches.append(obj.name)
+            raise DemonstrationFailure("no demonstrations")
+
+        monkeypatch.setattr(experiments, "demonstrate_grasps", failing)
+        cfg = ExperimentConfig(experiment=ACTIVE_RANDOM_INIT, object_name="plate", seed=5, **SHORT)
+        for _ in range(2):
+            with pytest.raises(DemonstrationFailure):
+                run_experiment(cfg)
+        assert searches == ["plate", "plate"]
+
+    def test_returned_grasps_are_read_only(self, searches):
+        cfg = ExperimentConfig(experiment=ACTIVE_RANDOM_INIT, object_name="plate", seed=5, **SHORT)
+        _, model = run_experiment(cfg)
+        for grasp in model.modes:
+            with pytest.raises(ValueError):
+                grasp.position[0] = 0.0
+            with pytest.raises(ValueError):
+                grasp.orientation[0] = 1.0

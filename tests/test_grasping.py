@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from graspmc import quaternions as quat
 from graspmc import sdf
 from graspmc.errors import DemonstrationFailure
 from graspmc.grasping import (
+    CLOSING_AXIS,
     COLLISION,
+    DEFAULT_EVALUATION,
     MISS,
     OUTCOME_KINDS,
     SLIPPED,
@@ -17,10 +21,12 @@ from graspmc.grasping import (
     evaluate_grasp,
     make_target,
     sample_surface_point,
+    _jaw_contacts,
+    _material_thickness,
     workspace_bounds,
 )
 from graspmc.gripper import default_gripper, probe_points
-from graspmc.objects import ObjectModel, get_object
+from graspmc.objects import ObjectModel, get_object, object_catalog
 
 GRIPPER = default_gripper()
 
@@ -110,6 +116,12 @@ class TestEvaluateGrasp:
 
     def test_probe_lattice_floor(self):
         assert len(probe_points(GRIPPER)) >= 200
+
+    def test_probe_lattice_is_shared_and_read_only(self):
+        points = probe_points(GRIPPER)
+        assert probe_points(GRIPPER) is points
+        with pytest.raises(ValueError):
+            points[0, 0] = 1.0
 
 
 class TestTargetDensity:
@@ -224,3 +236,173 @@ def test_canonicalize_grasp_vector_touches_only_quaternion():
     out = canonicalize_grasp_vector(v)
     np.testing.assert_array_equal(out[:3], v[:3])
     np.testing.assert_allclose(out[3:], [1, 0, 0, 0])
+
+
+# --------------------------------------------------------------------------
+# the batched cascade against the one-point-per-call cascade it replaces
+
+CATALOG = object_catalog()
+MOVED = [
+    obj.transformed(quat.from_axis_angle([1.0, 2.0, 3.0 + i], 0.3 + 0.4 * i), [0.1, -0.2 + 0.05 * i, 0.3])
+    for i, obj in enumerate(CATALOG)
+]
+
+
+class CountingSdf(sdf.Sdf):
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def distance(self, points):
+        self.calls += 1
+        return self.inner.distance(points)
+
+
+def counting(obj):
+    return ObjectModel(obj.name, CountingSdf(obj.shape), obj.bounds_lo, obj.bounds_hi)
+
+
+def scalar_march_contact(obj, start, direction, span, tol):
+    """March then bisect one jaw line, one distance call per bisection step."""
+    ts = np.linspace(0.0, span, 129)
+    points = start[None, :] + ts[:, None] * direction[None, :]
+    d = obj.distance(points)
+    if d[0] <= 0.0:
+        return points[0]
+    crossing = np.nonzero(d <= 0.0)[0]
+    if crossing.size == 0:
+        return None
+    lo, hi = ts[crossing[0] - 1], ts[crossing[0]]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if float(obj.distance(start + mid * direction)) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return start + 0.5 * (lo + hi) * direction
+
+
+def per_axis_normals(obj, points, h):
+    grads = np.empty_like(points)
+    for axis in range(3):
+        offset = np.zeros(3)
+        offset[axis] = h
+        grads[:, axis] = (obj.distance(points + offset) - obj.distance(points - offset)) / (2 * h)
+    return grads / np.maximum(np.linalg.norm(grads, axis=-1, keepdims=True), 1e-12)
+
+
+def reference_evaluate(grasp, obj, gripper=GRIPPER, config=DEFAULT_EVALUATION):
+    """The cascade with one jaw at a time, scalar bisection and per-axis
+    normals: 21 distance calls for a success at the default settings."""
+    lo, hi = workspace_bounds(obj, gripper, config)
+    if np.any(grasp.position < lo) or np.any(grasp.position > hi):
+        return GraspOutcome(MISS, 0.0)
+    rotation = quat.rotation_matrix(grasp.orientation)
+    probes = probe_points(gripper, config.probe_pitch) @ rotation.T + grasp.position
+    if float(np.min(obj.distance(probes))) < -config.collision_tolerance:
+        return GraspOutcome(COLLISION, 0.0)
+    closing = rotation @ CLOSING_AXIS
+    half_span = 0.5 * gripper.jaw_span
+    contacts = []
+    for side in (1.0, -1.0):
+        start = grasp.position + side * half_span * closing
+        contact = scalar_march_contact(
+            obj, start, -side * closing, gripper.jaw_span, config.contact_tolerance
+        )
+        if contact is None:
+            return GraspOutcome(MISS, 0.0)
+        contacts.append(contact)
+    n1, n2 = per_axis_normals(obj, np.asarray(contacts), config.gradient_step)
+    antipodality = max(0.0, -float(n1 @ n2))
+    cos_friction = 1.0 / np.sqrt(1.0 + config.friction_coefficient**2)
+    margins = [
+        max(0.0, abs(float(n @ closing)) - cos_friction) / (1.0 - cos_friction) for n in (n1, n2)
+    ]
+    quality = antipodality * min(margins)
+    if quality <= config.quality_threshold:
+        return GraspOutcome(SLIPPED, 0.0)
+    return GraspOutcome(SUCCESS, float(quality))
+
+
+def surface_frame(obj, fractions, offset):
+    """A point about `offset` off the surface near bounds_lo + fractions *
+    extent, and the outward normal there."""
+    point = obj.bounds_lo + np.asarray(fractions) * (obj.bounds_hi - obj.bounds_lo)
+    for _ in range(3):
+        point = point - obj.distance(point[None, :])[0] * obj.normal(point[None, :])[0]
+    normal = obj.normal(point[None, :])[0]
+    return point + offset * normal, normal
+
+
+def unit_vector(components):
+    v = np.asarray(components, dtype=float)
+    norm = np.linalg.norm(v)
+    return v / norm if norm > 1e-3 else np.array([1.0, 0.0, 0.0])
+
+
+unit = st.floats(0.0, 1.0)
+signed = st.floats(-1.0, 1.0)
+shapes = st.sampled_from(CATALOG + MOVED)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shapes,
+    st.tuples(unit, unit, unit),
+    st.floats(-0.03, 0.03),
+    st.tuples(signed, signed, signed),
+    st.sampled_from([1e-5, 1e-7, 2e-4, 1e-3]),
+)
+def test_jaw_contacts_match_scalar_bisection(obj, fractions, offset, axis, tol):
+    center, _ = surface_frame(obj, fractions, offset)
+    closing = unit_vector(axis)
+    span = GRIPPER.jaw_span
+    sides = np.array([[1.0], [-1.0]])
+    starts, directions = center + sides * (0.5 * span) * closing, -sides * closing
+    expected = [scalar_march_contact(obj, s, d, span, tol) for s, d in zip(starts, directions)]
+    contacts = _jaw_contacts(obj, starts, directions, span, tol)
+    if any(e is None for e in expected):
+        assert contacts is None
+    else:
+        assert np.array_equal(contacts, np.array(expected))
+
+
+@st.composite
+def grip_poses(draw):
+    """(object, grasp) on a surface point: the tool centre halfway through
+    the material behind it (or just outside, when that is wider than the
+    jaws) plus a jitter, the closing axis the outward normal tilted, the
+    approach axis rolled about it from the one facing the object's centre."""
+    obj = draw(shapes)
+    point, normal = surface_frame(obj, draw(st.tuples(unit, unit, unit)), 0.0)
+    thickness = _material_thickness(obj, point, normal, GRIPPER.jaw_span)
+    depth = -0.5 * thickness if thickness is not None and thickness < GRIPPER.jaw_span else 1e-3
+    position = point + (depth + draw(st.floats(-0.01, 0.01))) * normal
+    closing = unit_vector(normal + draw(st.floats(0.0, 0.5)) * np.array(draw(st.tuples(signed, signed, signed))))
+    inward = obj.bounds_center() - point
+    inward = unit_vector(inward - closing * float(inward @ closing))
+    roll = draw(st.floats(-np.pi, np.pi)) * draw(st.sampled_from([0.1, 1.0]))
+    approach = np.cos(roll) * inward + np.sin(roll) * np.cross(closing, inward)
+    approach = unit_vector(approach - closing * float(approach @ closing))
+    frame = np.column_stack([closing, np.cross(approach, closing), approach])
+    return obj, Grasp(position, quat.from_rotation_matrix(frame))
+
+
+@settings(max_examples=600, deadline=None)
+@given(grip_poses())
+def test_evaluate_grasp_matches_reference_with_no_more_sdf_calls(case):
+    obj, grasp = case
+    ours, theirs = counting(obj), counting(obj)
+    outcome = evaluate_grasp(grasp, ours, GRIPPER)
+    event(outcome.kind)
+    assert outcome == reference_evaluate(grasp, theirs)
+    assert ours.shape.calls <= theirs.shape.calls
+    if outcome.kind in (SUCCESS, SLIPPED):
+        assert ours.shape.calls <= 4
+
+
+def test_success_makes_four_sdf_calls():
+    plate = counting(get_object("plate"))
+    outcome = evaluate_grasp(rim_pinch_grasp(), plate, GRIPPER)
+    assert outcome.kind == SUCCESS
+    assert plate.shape.calls == 4

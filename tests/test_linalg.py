@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graspmc import linalg
-from graspmc.errors import NonSymmetricCovariance
+from graspmc.errors import DecompositionFailure, GraspMCError, NonSymmetricCovariance
 
 
 def random_psd(rng, d, rank=None):
@@ -101,3 +101,13 @@ class TestGaussianLogpdf:
         cov = random_psd(rng, 4) + 0.1 * np.eye(4)
         x, mu = rng.standard_normal(4), rng.standard_normal(4)
         assert linalg.gaussian_logpdf(x, mu, cov) == linalg.gaussian_logpdf(x, mu, cov)
+
+    @pytest.mark.parametrize(
+        "covariance",
+        [np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros((2, 2))],
+        ids=["indefinite", "singular", "zero"],
+    )
+    def test_non_positive_definite_raises_decomposition_failure(self, covariance):
+        with pytest.raises(DecompositionFailure) as caught:
+            linalg.gaussian_logpdf(np.zeros(2), np.zeros(2), covariance)
+        assert isinstance(caught.value, GraspMCError)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graspmc import quaternions as quat
 from graspmc import sdf
+from graspmc.objects import object_catalog
 
 
 def test_sphere_distances():
@@ -114,3 +118,49 @@ def test_dict_round_trip():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1, 1, size=(200, 3))
     np.testing.assert_array_equal(shape.distance(pts), clone.distance(pts))
+
+
+CATALOG = object_catalog()
+# each object also in a frame moved by a general rotation and translation
+MOVED = [
+    obj.transformed(quat.from_axis_angle([1.0, 2.0, 3.0 + i], 0.3 + 0.4 * i), [0.1, -0.2 + 0.05 * i, 0.3])
+    for i, obj in enumerate(CATALOG)
+]
+
+
+def per_axis_gradient(shape, points, h=1e-5):
+    """The central-difference gradient as two distance calls per axis."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    grads = np.empty_like(points)
+    for axis in range(3):
+        offset = np.zeros(3)
+        offset[axis] = h
+        grads[:, axis] = (shape.distance(points + offset) - shape.distance(points - offset)) / (2 * h)
+    return grads
+
+
+def project_to_surface(obj, points, offsets):
+    """Newton steps onto the zero level set, then offsets along the normal."""
+    for _ in range(3):
+        points = points - obj.distance(points)[:, None] * obj.normal(points)
+    return points + offsets[:, None] * obj.normal(points)
+
+
+@st.composite
+def near_surface_points(draw):
+    """(object, 1-6 points within about 2 mm of its surface)."""
+    obj = draw(st.sampled_from(CATALOG + MOVED))
+    count = draw(st.integers(1, 6))
+    unit = st.floats(0.0, 1.0)
+    fractions = np.array(draw(st.lists(st.tuples(unit, unit, unit), min_size=count, max_size=count)))
+    offsets = np.array(draw(st.lists(st.floats(-2e-3, 2e-3), min_size=count, max_size=count)))
+    points = obj.bounds_lo + fractions * (obj.bounds_hi - obj.bounds_lo)
+    return obj, project_to_surface(obj, points, offsets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_surface_points(), st.sampled_from([1e-5, 1e-6, 1e-4]))
+def test_gradient_matches_per_axis_reference_bit_for_bit(case, h):
+    obj, points = case
+    assert np.array_equal(obj.shape.gradient(points, h), per_axis_gradient(obj.shape, points, h))
+
