@@ -47,7 +47,7 @@ _NUMERIC_FLAGS = (
     ("position-sigma", float),
     ("demonstration-count", int),
 )
-_BOOL_FLAGS = ("paper-literal-acceptance", "sqrt-scales", "invert-p-check", "no-trace")
+_BOOL_FLAGS = ("paper-literal-acceptance", "sqrt-scales", "no-trace")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -78,7 +78,7 @@ def _build_config(args: argparse.Namespace, experiment: str, seed: int) -> Exper
         value = getattr(args, flag.replace("-", "_"))
         if value is not None:
             doc[flag.replace("-", "_")] = value
-    for flag in ("paper_literal_acceptance", "sqrt_scales", "invert_p_check"):
+    for flag in ("paper_literal_acceptance", "sqrt_scales"):
         value = getattr(args, flag)
         if value:
             doc[flag] = True

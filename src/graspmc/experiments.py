@@ -82,7 +82,6 @@ class ExperimentConfig:
     demonstration_count: int = 5
     paper_literal_acceptance: bool = False
     sqrt_scales: bool = False
-    invert_p_check: bool = False
     source_model: str | None = None
     keep_trace: bool = True
 
@@ -264,7 +263,6 @@ def run_experiment(
             config.iterations,
             rngs["chain"],
             eval_config,
-            invert_p_check=config.invert_p_check,
         )
         history = model.chain
     elif config.experiment == RANDOM_WALK_BASELINE:
@@ -305,7 +303,6 @@ def run_experiment(
             config.iterations,
             rngs["chain"],
             eval_config,
-            invert_p_check=config.invert_p_check,
         )
         history = model.chain
 

@@ -13,20 +13,25 @@ density is then evaluated at the postprocessed point under the plain
 d-dimensional Gaussian, with no manifold/Jacobian correction. That is a
 documented bias, worst near the w = 0 double-cover boundary; it is the
 price of keeping position/orientation dependence inside one kernel.
+
+This module also holds `_run_chain`, the one MH loop of the package: the
+pure Kameleon chain here, the combined Kameleon/darting chain and the
+random-walk sketch in `learning` are thin calls into it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .darting import DartingConfig, JumpRegion, darting_step
 from .errors import EmptyHistory
 from .history import ChainHistory, ProposalRecord
 from .kernels import GaussianKernel, median_bandwidth
 from .linalg import gaussian_logpdf, sample_gaussian
-from .targets import TargetFn
+from .targets import TargetFn, TargetValue
 
 
 @dataclass(frozen=True)
@@ -48,13 +53,13 @@ class KameleonConfig:
             raise ValueError("burn-in must be nonnegative")
 
 
-class KameleonStep(NamedTuple):
-    state: np.ndarray
-    density: float
-    outcome: str | None
-    accepted: bool
+class LocalStep(NamedTuple):
+    """A local move's proposal, its evaluation, and the MH decision on it."""
+
     proposal: np.ndarray
     proposal_density: float
+    outcome: str | None
+    accepted: bool
 
 
 def subsample_history(
@@ -114,54 +119,53 @@ def covariance_at(
     return proposal_covariance(m, config)
 
 
+def symmetric_acceptance(proposal_density: float, current_density: float) -> float:
+    """min(1, p/c) for a symmetric proposal.
+
+    A zero-density proposal is always rejected; a zero-density current
+    state (legal only at initialization) accepts any positive-density
+    proposal, letting a chain recover into the support.
+    """
+    if proposal_density <= 0.0:
+        return 0.0
+    if current_density <= 0.0:
+        return 1.0
+    return min(1.0, proposal_density / current_density)
+
+
 def kameleon_step(
     current: np.ndarray,
     current_density: float,
     target: TargetFn,
-    history: ChainHistory,
     config: KameleonConfig,
     rng: np.random.Generator,
     *,
-    subsample: list[np.ndarray] | None = None,
-    kernel: GaussianKernel | None = None,
+    subsample: list[np.ndarray] = (),
+    kernel: GaussianKernel | None = None,  # required with a subsample
     postprocess: Callable[[np.ndarray], np.ndarray] | None = None,
-    record: bool = True,
-    move: str = "kameleon",
-) -> KameleonStep:
-    """One adaptive MH step; the proposal is always recorded in the history.
+) -> LocalStep:
+    """One adaptive MH step from the proposal shaped by `subsample` under
+    `kernel`: propose and decide; recording the step is the caller's.
 
-    With nu = 0 (or nothing to subsample) this reduces exactly to
+    With nu = 0 (or an empty subsample) this reduces exactly to
     random-walk Metropolis with proposal N(x, gamma^2 I): same draws from
-    the generator, symmetric q-ratio of one.
-
-    Zero-density handling: a zero-density proposal is always rejected; a
-    zero-density current state (legal only at initialization) accepts any
-    positive-density proposal, letting a chain recover into the support.
+    the generator, symmetric q-ratio of one. Zero densities follow
+    `symmetric_acceptance`.
     """
     current = np.asarray(current, dtype=float)
-    d = current.size
-
-    if subsample is None and config.nu > 0.0 and history.subsample_source():
-        subsample = subsample_history(history, config.subsample_size, rng)
     adaptive = bool(subsample) and config.nu > 0.0
 
     if adaptive:
-        if kernel is None:
-            kernel = config.kernel or GaussianKernel(median_bandwidth(subsample))
         cov_current = covariance_at(current, subsample, kernel, config)
         raw = sample_gaussian(current, cov_current, rng)
     else:
-        raw = current + config.gamma * rng.standard_normal(d)
+        raw = current + config.gamma * rng.standard_normal(current.size)
 
     proposal = postprocess(raw) if postprocess is not None else raw
     value = target(proposal)
     proposal_density = float(value.density)
 
-    if proposal_density <= 0.0:
-        alpha = 0.0
-    elif current_density <= 0.0:
-        alpha = 1.0
-    elif adaptive:
+    if adaptive and proposal_density > 0.0 and current_density > 0.0:
         cov_proposal = covariance_at(proposal, subsample, kernel, config)
         log_q_forward = gaussian_logpdf(proposal, current, cov_current)
         log_q_backward = gaussian_logpdf(current, proposal, cov_proposal)
@@ -170,15 +174,82 @@ def kameleon_step(
         )
         alpha = 1.0 if log_ratio >= 0.0 else float(np.exp(log_ratio))
     else:
-        alpha = min(1.0, proposal_density / current_density)
+        alpha = symmetric_acceptance(proposal_density, current_density)
 
-    accepted = bool(rng.uniform() < alpha)
-    next_state = proposal if accepted else current
-    next_density = proposal_density if accepted else float(current_density)
-    step_record = ProposalRecord(proposal, proposal_density, accepted, value.outcome)
-    if record:
-        history.record_step(next_state, next_density, accepted, step_record, move)
-    return KameleonStep(next_state, next_density, value.outcome, accepted, proposal, proposal_density)
+    return LocalStep(proposal, proposal_density, value.outcome, bool(rng.uniform() < alpha))
+
+
+def _run_chain(
+    target: TargetFn,
+    current: np.ndarray,
+    value: TargetValue,
+    iterations: int,
+    history: ChainHistory,
+    rng: np.random.Generator,
+    *,
+    kameleon: KameleonConfig | None = None,
+    walk: Callable[[np.ndarray, float], LocalStep] | None = None,
+    darting: DartingConfig | None = None,
+    regions: Sequence[JumpRegion] = (),
+    postprocess: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> ChainHistory:
+    """The one MH loop; every chain in the package steps through it.
+
+    The start state `current`, already evaluated to `value`, is seeded into
+    `history`; then each iteration records exactly one step:
+
+    - during a Kameleon chain's burn-in (nu > 0) the adaptation is refreshed
+      first: a new subsample of the history and its median bandwidth;
+    - with a darting config the gate u1 is drawn every iteration, even with
+      no regions, and u1 >= p_check with regions attempts `darting_step`
+      ("jump", or "recount" outside every region); without one no gate is
+      drawn, so at nu = 0 a Kameleon chain makes exactly the draws of plain
+      random-walk Metropolis;
+    - the local step is `walk` ("random-walk") if given, else `kameleon_step`.
+
+    Steps only propose and decide; this loop alone moves the state and
+    records each proposal with its decision.
+    """
+    density, outcome = float(value.density), value.outcome
+    history.seed_state(current, density)
+    subsample: list[np.ndarray] = []
+    kernel = kameleon.kernel if kameleon is not None else None
+    for t in range(iterations):
+        if (
+            kameleon is not None
+            and kameleon.nu > 0.0
+            and adaptation_schedule(t, kameleon)
+            and history.subsample_source()
+        ):
+            subsample = subsample_history(history, kameleon.subsample_size, rng)
+            kernel = kameleon.kernel or GaussianKernel(median_bandwidth(subsample))
+        if darting is not None and rng.uniform() >= darting.p_check and regions:
+            jump = darting_step(
+                current, density, regions, target, darting, rng, postprocess=postprocess
+            )
+            if jump.proposal is None:
+                move, proposal, p_density, p_outcome = "recount", current, density, outcome
+            else:
+                move, proposal, p_density, p_outcome = (
+                    "jump", jump.proposal, jump.proposal_density, jump.proposal_outcome
+                )
+            accepted = jump.jumped
+        else:
+            if walk is not None:
+                move, step = "random-walk", walk(current, density)
+            else:
+                move, step = "kameleon", kameleon_step(
+                    current, density, target, kameleon, rng,
+                    subsample=subsample, kernel=kernel, postprocess=postprocess,
+                )
+            proposal, p_density, p_outcome, accepted = (
+                step.proposal, step.proposal_density, step.outcome, step.accepted
+            )
+        if accepted:
+            current, density, outcome = proposal, p_density, p_outcome
+        record = ProposalRecord(proposal, p_density, accepted, p_outcome)
+        history.record_step(current, density, accepted, record, move)
+    return history
 
 
 def run_kameleon_chain(
@@ -196,30 +267,9 @@ def run_kameleon_chain(
     The returned history contains one record per iteration (burn-in
     included) and the initial state as seed material.
     """
-    if history is None:
-        history = ChainHistory()
     current = np.asarray(initial_state, dtype=float)
-    current_density = float(target(current).density)
-    history.seed_state(current, current_density)
-
-    subsample: list[np.ndarray] = []
-    kernel = config.kernel
-    for t in range(iterations):
-        if config.nu > 0.0 and adaptation_schedule(t, config):
-            pool = history.subsample_source()
-            if pool:
-                subsample = subsample_history(history, config.subsample_size, rng)
-                kernel = config.kernel or GaussianKernel(median_bandwidth(subsample))
-        step = kameleon_step(
-            current,
-            current_density,
-            target,
-            history,
-            config,
-            rng,
-            subsample=subsample,
-            kernel=kernel,
-            postprocess=postprocess,
-        )
-        current, current_density = step.state, step.density
-    return history
+    history = history if history is not None else ChainHistory()
+    return _run_chain(
+        target, current, target(current), iterations, history, rng,
+        kameleon=config, postprocess=postprocess,
+    )

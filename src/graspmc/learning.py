@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import quaternions as quat
-from .darting import DartingConfig, JumpRegion, build_jump_region, darting_step
+from .darting import DartingConfig, JumpRegion, build_jump_region
 from .errors import InvalidDemonstration
 from .grasping import (
     DEFAULT_EVALUATION,
@@ -29,13 +29,7 @@ from .grasping import (
 )
 from .gripper import GripperModel
 from .history import ChainHistory, ProposalRecord
-from .kameleon import (
-    KameleonConfig,
-    adaptation_schedule,
-    kameleon_step,
-    subsample_history,
-)
-from .kernels import GaussianKernel, median_bandwidth
+from .kameleon import KameleonConfig, LocalStep, _run_chain, symmetric_acceptance
 from .objects import ObjectModel
 from .targets import TargetFn
 from .vmf import VonMisesFisher, sample_vmf
@@ -70,9 +64,14 @@ class RoughSketch:
         return [p.state for p in self.proposals]
 
     def covariance(self) -> np.ndarray:
-        stacked = np.asarray(self.states())
-        cov = np.cov(stacked.T) if len(stacked) > 1 else np.zeros((stacked.shape[1],) * 2)
-        return 0.5 * (cov + cov.T)
+        return _state_covariance(self.states())
+
+
+def _state_covariance(states: list[np.ndarray]) -> np.ndarray:
+    """Symmetrized sample covariance of the states; zero for a single state."""
+    stacked = np.asarray(states)
+    cov = np.cov(stacked.T) if len(stacked) > 1 else np.zeros((stacked.shape[1],) * 2)
+    return 0.5 * (cov + cov.T)
 
 
 @dataclass
@@ -119,30 +118,29 @@ def build_rough_sketch(
     """Random-walk MH trace: Gaussian position step, vMF orientation step.
 
     Every proposal is recorded regardless of acceptance; the proposals, not
-    the chain, are the sketch. An optional history collects the walk as a
-    tallied run (the random-walk baseline experiment).
+    the chain, are the sketch. The walk is recorded in `history` (a fresh
+    proposal-sourced one unless given, as the random-walk baseline
+    experiment does to tally it), and the sketch's proposals are that
+    history's records.
     """
     target = make_target(obj, gripper, eval_config)
-    current = start.to_vector()
-    current_value = target(current)
-    if current_value.density <= 0.0:
-        raise InvalidDemonstration("sketch start state has zero density")
-    record_history = history if history is not None else ChainHistory(proposal_sourced=True)
-    current_density = current_value.density
-    proposals: list[ProposalRecord] = []
-    for _ in range(iterations):
+
+    def walk(current: np.ndarray, density: float) -> LocalStep:
         position = current[:3] + position_sigma * rng.standard_normal(3)
         orientation = sample_vmf(VonMisesFisher(current[3:], kappa), rng)
         proposal = canonicalize_grasp_vector(np.concatenate([position, orientation]))
         value = target(proposal)
-        alpha = 0.0 if value.density <= 0.0 else min(1.0, value.density / current_density)
-        accepted = bool(rng.uniform() < alpha)
-        record = ProposalRecord(proposal, float(value.density), accepted, value.outcome)
-        proposals.append(record)
-        if accepted:
-            current, current_density = proposal, float(value.density)
-        record_history.record_step(current, current_density, accepted, record, "random-walk")
-    return RoughSketch(proposals, obj.name, position_sigma, kappa)
+        p_density = float(value.density)
+        accepted = bool(rng.uniform() < symmetric_acceptance(p_density, density))
+        return LocalStep(proposal, p_density, value.outcome, accepted)
+
+    current = start.to_vector()
+    value = target(current)
+    if value.density <= 0.0:
+        raise InvalidDemonstration("sketch start state has zero density")
+    history = history if history is not None else ChainHistory(proposal_sourced=True)
+    _run_chain(target, current, value, iterations, history, rng, walk=walk)
+    return RoughSketch(history.proposals, obj.name, position_sigma, kappa)
 
 
 def random_sketch(
@@ -179,78 +177,37 @@ def run_combined_chain(
     rng: np.random.Generator,
     *,
     postprocess: Callable[[np.ndarray], np.ndarray] | None = None,
-    invert_p_check: bool = False,
 ) -> ChainHistory:
     """The per-iteration gate: local Kameleon step or darting jump attempt.
 
     u1 < p_check takes the local step (so p_check = 0.6 means a 40% jump
-    attempt rate); invert_p_check flips the comparison, reproducing the
-    paper's other stated reading. Darting iterations whose state is outside
-    every region re-count the current state's outcome. The initial state's
-    evaluation is not tallied, so the recorded proposals number exactly
-    `iterations`.
+    attempt rate). Darting iterations whose state is outside every region
+    re-count the current state's outcome. The initial state's evaluation
+    is not tallied, so the recorded proposals number exactly `iterations`.
     """
     current = np.asarray(initial_state, dtype=float)
-    value = target(current)
-    current_density, current_outcome = float(value.density), value.outcome
-    history.seed_state(current, current_density)
-
-    subsample: list[np.ndarray] = []
-    kernel = kameleon_config.kernel
-    for t in range(iterations):
-        if kameleon_config.nu > 0.0 and adaptation_schedule(t, kameleon_config):
-            pool = history.subsample_source()
-            if pool:
-                subsample = subsample_history(history, kameleon_config.subsample_size, rng)
-                kernel = kameleon_config.kernel or GaussianKernel(median_bandwidth(subsample))
-        u1 = rng.uniform()
-        local = (u1 < darting_config.p_check) != invert_p_check
-        if local or not regions:
-            step = kameleon_step(
-                current,
-                current_density,
-                target,
-                history,
-                kameleon_config,
-                rng,
-                subsample=subsample,
-                kernel=kernel,
-                postprocess=postprocess,
-            )
-            current, current_density = step.state, step.density
-            if step.accepted:
-                current_outcome = step.outcome
-        else:
-            step = darting_step(
-                current,
-                current_density,
-                regions,
-                target,
-                darting_config,
-                rng,
-                postprocess=postprocess,
-            )
-            if step.proposal is None:
-                record = ProposalRecord(current, current_density, False, current_outcome)
-                history.record_step(current, current_density, False, record, "recount")
-            else:
-                record = ProposalRecord(
-                    step.proposal, step.proposal_density, step.jumped, step.proposal_outcome
-                )
-                history.record_step(step.state, step.density, step.jumped, record, "jump")
-                if step.jumped:
-                    current, current_density, current_outcome = (
-                        step.state,
-                        step.density,
-                        step.outcome,
-                    )
-    return history
+    return _run_chain(
+        target, current, target(current), iterations, history, rng,
+        kameleon=kameleon_config, darting=darting_config, regions=regions, postprocess=postprocess,
+    )
 
 
-def _shared_regions(
-    modes: list[Grasp], covariance: np.ndarray, darting_config: DartingConfig
-) -> list[JumpRegion]:
-    return [
+def _learn(
+    obj: ObjectModel,
+    target: TargetFn,
+    modes: list[Grasp],
+    mode_densities: list[float],
+    covariance: np.ndarray,
+    history: ChainHistory,
+    kameleon_config: KameleonConfig,
+    darting_config: DartingConfig,
+    iterations: int,
+    rng: np.random.Generator,
+) -> LearnedModel:
+    """The tail both learners share: regions on the modes from one
+    covariance, a uniformly chosen mode as the start, and burn_in +
+    iterations combined steps."""
+    regions = [
         build_jump_region(
             mode.to_vector(),
             covariance,
@@ -260,6 +217,12 @@ def _shared_regions(
         )
         for mode in modes
     ]
+    initial = modes[int(rng.integers(len(modes)))].to_vector()
+    run_combined_chain(
+        target, initial, kameleon_config.burn_in + iterations, kameleon_config, darting_config,
+        regions, history, rng, postprocess=canonicalize_grasp_vector,
+    )
+    return LearnedModel(obj.name, history, list(modes), regions, mode_densities=mode_densities)
 
 
 def active_learn(
@@ -272,8 +235,6 @@ def active_learn(
     iterations: int,
     rng: np.random.Generator,
     eval_config: EvaluationConfig = DEFAULT_EVALUATION,
-    *,
-    invert_p_check: bool = False,
 ) -> LearnedModel:
     """Sketch-initialized combined run with demonstrations as jump modes.
 
@@ -288,28 +249,15 @@ def active_learn(
     if min(mode_densities) <= 0.0:
         raise InvalidDemonstration(f"demonstration has zero density on {obj.name}")
 
-    regions = _shared_regions(demonstrations, sketch.covariance(), darting_config)
     history = ChainHistory(proposal_sourced=True)
     for record in sketch.proposals:
         history.seed_proposal(record)
     for demo, density in zip(demonstrations, mode_densities):
         history.seed_state(demo.to_vector(), density)
-
-    initial = demonstrations[int(rng.integers(len(demonstrations)))].to_vector()
-    total = kameleon_config.burn_in + iterations
-    run_combined_chain(
-        target,
-        initial,
-        total,
-        kameleon_config,
-        darting_config,
-        regions,
-        history,
-        rng,
-        postprocess=canonicalize_grasp_vector,
-        invert_p_check=invert_p_check,
+    return _learn(
+        obj, target, demonstrations, mode_densities, sketch.covariance(), history,
+        kameleon_config, darting_config, iterations, rng,
     )
-    return LearnedModel(obj.name, history, list(demonstrations), regions, mode_densities=mode_densities)
 
 
 def transfer_learn(
@@ -323,8 +271,6 @@ def transfer_learn(
     iterations: int,
     rng: np.random.Generator,
     eval_config: EvaluationConfig = DEFAULT_EVALUATION,
-    *,
-    invert_p_check: bool = False,
 ) -> LearnedModel:
     """Rerun the combined loop on a novel object, reusing the source chain.
 
@@ -347,29 +293,13 @@ def transfer_learn(
     source_states = source.chain.state_pool()
     if not source_states:
         raise ValueError("source model has an empty chain")
-    stacked = np.asarray(source_states)
-    covariance = np.cov(stacked.T) if len(stacked) > 1 else np.zeros((stacked.shape[1],) * 2)
-    covariance = 0.5 * (covariance + covariance.T)
-
-    regions = _shared_regions(modes, covariance, darting_config)
     history = ChainHistory(proposal_sourced=False)
-    for state, density in zip(source.chain.state_pool(), source.chain.seed_densities + source.chain.densities):
+    for state, density in zip(source_states, source.chain.seed_densities + source.chain.densities):
         history.seed_state(state, density)
 
     target = make_target(novel_obj, gripper, eval_config)
     mode_densities = [float(target(mode.to_vector()).density) for mode in modes]
-    initial = modes[int(rng.integers(len(modes)))].to_vector()
-    total = kameleon_config.burn_in + iterations
-    run_combined_chain(
-        target,
-        initial,
-        total,
-        kameleon_config,
-        darting_config,
-        regions,
-        history,
-        rng,
-        postprocess=canonicalize_grasp_vector,
-        invert_p_check=invert_p_check,
+    return _learn(
+        novel_obj, target, modes, mode_densities, _state_covariance(source_states), history,
+        kameleon_config, darting_config, iterations, rng,
     )
-    return LearnedModel(novel_obj.name, history, modes, regions, mode_densities=mode_densities)

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 
+from . import quaternions as quat
 from .darting import JumpRegion
 from .grasping import Grasp
 from .history import ChainHistory, ProposalRecord
@@ -85,6 +86,17 @@ def _region_from_dict(doc: dict) -> JumpRegion:
     )
 
 
+def _mode_from_list(values: list[float]) -> Grasp:
+    """A stored mode, its quaternion kept bit for bit when already a
+    canonical unit: `quaternions.canonicalize` is not idempotent in
+    floating point, so canonicalizing again could move its last bits."""
+    vector = np.asarray(values, dtype=float)
+    grasp = Grasp.from_vector(vector)
+    if quat.is_canonical_unit(vector[3:]):
+        object.__setattr__(grasp, "orientation", vector[3:].copy())
+    return grasp
+
+
 def model_to_document(model: LearnedModel) -> str:
     doc = {
         "schema": MODEL_SCHEMA,
@@ -106,7 +118,7 @@ def model_from_document(text: str) -> LearnedModel:
     return LearnedModel(
         doc["object"],
         history_from_dict(doc["chain"]),
-        [Grasp.from_vector(np.asarray(m, dtype=float)) for m in doc["modes"]],
+        [_mode_from_list(m) for m in doc["modes"]],
         [_region_from_dict(r) for r in doc["regions"]],
         dict(doc.get("config") or {}),
         mode_densities=None if densities is None else [float(d) for d in densities],

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graspmc.darting import DartingConfig, build_jump_region
 from graspmc.errors import EmptyHistory
 from graspmc.history import ChainHistory, ProposalRecord
 from graspmc.kameleon import (
@@ -13,6 +16,7 @@ from graspmc.kameleon import (
     subsample_history,
 )
 from graspmc.kernels import GaussianKernel
+from graspmc.learning import run_combined_chain, tally_outcomes
 from graspmc.targets import TargetValue, standard_normal_target
 
 
@@ -121,29 +125,25 @@ def constant_then_zero_target(zero_region_x):
 class TestKameleonStep:
     def test_zero_density_proposal_always_rejected(self):
         cfg = KameleonConfig(gamma=0.1, nu=0.0, subsample_size=10)
-        h = ChainHistory()
         current = np.array([0.0])
         for seed in range(50):
             step = kameleon_step(
                 current,
                 1.0,
                 lambda s: TargetValue(0.0, None),
-                h,
                 cfg,
                 np.random.default_rng(seed),
             )
             assert not step.accepted
-            assert np.array_equal(step.state, current)
 
     def test_uphill_symmetric_move_always_accepted(self):
         cfg = KameleonConfig(gamma=0.05, nu=0.0, subsample_size=10)
         target = standard_normal_target(2)
-        h = ChainHistory()
         current = np.array([2.0, 2.0])
         dens = target(current).density
         accepted_uphill = 0
         for seed in range(200):
-            step = kameleon_step(current, dens, target, h, cfg, np.random.default_rng(seed))
+            step = kameleon_step(current, dens, target, cfg, np.random.default_rng(seed))
             if step.proposal_density >= dens:
                 assert step.accepted
                 accepted_uphill += 1
@@ -152,19 +152,66 @@ class TestKameleonStep:
     def test_zero_current_recovers_into_support(self):
         cfg = KameleonConfig(gamma=0.5, nu=0.0, subsample_size=10)
         target = constant_then_zero_target(0.0)
-        h = ChainHistory()
-        step = kameleon_step(
-            np.array([0.4]), 0.0, target, h, cfg, np.random.default_rng(3)
-        )
+        step = kameleon_step(np.array([0.4]), 0.0, target, cfg, np.random.default_rng(3))
         if step.proposal_density > 0:
             assert step.accepted
 
+
+def labelled_bump_target(state):
+    """Gaussian bump cut to zero beyond radius 2; labelled only where x >= 0."""
+    sq = float(np.sum(np.asarray(state) ** 2))
+    density = float(np.exp(-0.5 * sq)) if sq < 4.0 else 0.0
+    if state[0] < 0.0:
+        return TargetValue(density, None)
+    return TargetValue(density, "success" if density > 0.0 else "miss")
+
+
+class TestChainDriver:
     def test_proposal_recorded_regardless_of_acceptance(self):
-        cfg = KameleonConfig(gamma=0.1, nu=0.0, subsample_size=10)
-        h = ChainHistory()
-        kameleon_step(np.zeros(1), 1.0, lambda s: TargetValue(0.0, None), h, cfg, np.random.default_rng(0))
-        assert len(h.proposals) == 1
-        assert not h.proposals[0].accepted
+        cfg = KameleonConfig(gamma=0.1, nu=1.0, subsample_size=10, burn_in=5)
+        start = np.zeros(2)
+        h = run_kameleon_chain(
+            lambda s: TargetValue(0.0, None), start, 12, cfg, np.random.default_rng(0)
+        )
+        assert len(h.proposals) == 12
+        assert not any(h.accepted) and not any(r.accepted for r in h.proposals)
+        assert all(np.array_equal(state, start) for state in h.states)
+        assert all(not np.array_equal(r.state, start) for r in h.proposals)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p_check=st.floats(0.0, 1.0),
+        nu=st.sampled_from([0.0, 0.5, 2.0]),
+        region_count=st.integers(0, 3),
+        iterations=st.integers(1, 40),
+        burn_in=st.integers(0, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_combined_chain_invariants(self, p_check, nu, region_count, iterations, burn_in, seed):
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-2.0, 2.0, size=(region_count, 2))
+        regions = [build_jump_region(c, 0.3 * np.eye(2), 1.0) for c in centers]
+        kameleon = KameleonConfig(gamma=0.5, nu=nu, subsample_size=8, burn_in=burn_in)
+        darting = DartingConfig(p_check=p_check, epsilon=1.0)
+        start = rng.uniform(-1.0, 1.0, size=2)
+        history = run_combined_chain(
+            labelled_bump_target, start, iterations, kameleon, darting, regions, ChainHistory(), rng
+        )
+
+        assert len(history) == len(history.proposals) == len(history.moves) == iterations
+        assert set(history.moves) <= {"kameleon", "jump", "recount"}
+        if not regions or p_check == 1.0:
+            assert set(history.moves) == {"kameleon"}
+        state, density = history.seed_states[-1], history.seed_densities[-1]
+        for t in range(iterations):
+            record = history.proposals[t]
+            assert record.accepted == history.accepted[t]
+            if history.accepted[t]:
+                state, density = record.state, record.density
+            assert np.array_equal(history.states[t], state)
+            assert history.densities[t] == density
+        labelled = sum(record.outcome is not None for record in history.proposals)
+        assert tally_outcomes(history).total == labelled
 
 
 def plain_random_walk_metropolis(target, x0, steps, gamma, rng):

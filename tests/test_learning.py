@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graspmc import quaternions as quat
 from graspmc.darting import DartingConfig, build_jump_region
 from graspmc.errors import InvalidDemonstration
 from graspmc.grasping import Grasp, demonstrate_grasps, make_target
@@ -159,16 +160,15 @@ class TestSyntheticCombined:
             close = np.linalg.norm(states - c, axis=1) <= 0.3
             assert np.sum(close & accepted) >= 20
 
-    def test_invert_p_check_flips_gate(self):
+    def test_zero_p_check_always_takes_the_jump_gate(self):
         centers = np.array([[0.0, 0.0], [3.0, 0.0]])
         target = gaussian_mixture_target(centers, sigma=0.1)
         kameleon = KameleonConfig(gamma=0.05, nu=0.0, subsample_size=10)
-        darting = DartingConfig(p_check=1.0, epsilon=0.7)
+        darting = DartingConfig(p_check=0.0, epsilon=0.7)
         regions = [build_jump_region(c, np.eye(2), 0.7) for c in centers]
-        # p_check=1 normally means all-local; inverted it means all-jump-gate
         history = run_combined_chain(
             target, centers[0], 60, kameleon, darting, regions, ChainHistory(),
-            np.random.default_rng(0), invert_p_check=True,
+            np.random.default_rng(0),
         )
         assert all(move in ("jump", "recount") for move in history.moves)
 
@@ -285,6 +285,14 @@ class TestSerialization:
             np.random.default_rng(1),
         )
         model.config = {"experiment": "active-biased-init", "seed": 1}
+        # a mode whose quaternion canonicalize would move again (about 35% of them)
+        rng = np.random.default_rng(5)
+        while True:
+            mode = Grasp(rng.standard_normal(3), rng.standard_normal(4))
+            if not np.array_equal(quat.canonicalize(mode.orientation), mode.orientation):
+                break
+        model.modes.append(mode)
+        model.mode_densities.append(0.0)
         clone = model_from_document(model_to_document(model))
         assert clone.object_name == model.object_name
         assert clone.config == model.config
