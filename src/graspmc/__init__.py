@@ -12,7 +12,7 @@ from .grasping import (
     make_target,
 )
 from .gripper import GripperModel, default_gripper
-from .history import ChainHistory, ProposalRecord
+from .history import ChainHistory
 from .kameleon import KameleonConfig, kameleon_step, run_kameleon_chain
 from .kernels import GaussianKernel
 from .learning import (
@@ -43,7 +43,6 @@ __all__ = [
     "KameleonConfig",
     "LearnedModel",
     "ObjectModel",
-    "ProposalRecord",
     "RoughSketch",
     "SIMILAR_OBJECT_MODES",
     "VonMisesFisher",

@@ -47,15 +47,13 @@ _NUMERIC_FLAGS = (
     ("position-sigma", float),
     ("demonstration-count", int),
 )
-_BOOL_FLAGS = ("paper-literal-acceptance", "sqrt-scales", "no-trace")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; CLI flags override its fields")
     for flag, kind in _NUMERIC_FLAGS:
         parser.add_argument(f"--{flag}", type=kind, default=None)
-    for flag in _BOOL_FLAGS:
-        parser.add_argument(f"--{flag}", action="store_true", default=None)
+    parser.add_argument("--no-trace", action="store_true", default=None)
 
 
 def _parse_seeds(args: argparse.Namespace) -> list[int]:
@@ -78,10 +76,6 @@ def _build_config(args: argparse.Namespace, experiment: str, seed: int) -> Exper
         value = getattr(args, flag.replace("-", "_"))
         if value is not None:
             doc[flag.replace("-", "_")] = value
-    for flag in ("paper_literal_acceptance", "sqrt_scales"):
-        value = getattr(args, flag)
-        if value:
-            doc[flag] = True
     if args.no_trace:
         doc["keep_trace"] = False
     if getattr(args, "source", None):
@@ -139,13 +133,8 @@ def _cmd_demonstrate(args: argparse.Namespace) -> None:
     print(f"wrote {args.out}: {len(demos)} demonstrated grasps on {args.object}")
 
 
-def _cmd_learn(args: argparse.Namespace) -> None:
-    for seed in _parse_seeds(args):
-        config = _build_config(args, args.experiment, seed)
-        _run_and_write(config, Path(args.out_dir))
-
-
-def _cmd_transfer(args: argparse.Namespace) -> None:
+def _cmd_run(args: argparse.Namespace) -> None:
+    """learn and transfer: one run of the preset per seed."""
     for seed in _parse_seeds(args):
         config = _build_config(args, args.experiment, seed)
         _run_and_write(config, Path(args.out_dir))
@@ -205,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seeds", help="inclusive range a..b for sweeps")
     p.add_argument("--out-dir", default="results")
     _add_config_flags(p)
-    p.set_defaults(func=_cmd_learn)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("transfer", help="run a transfer-learning preset")
     p.add_argument("--experiment", choices=TRANSFER_EXPERIMENTS, required=True)
@@ -215,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seeds", help="inclusive range a..b for sweeps")
     p.add_argument("--out-dir", default="results")
     _add_config_flags(p)
-    p.set_defaults(func=_cmd_transfer)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("report", help="tabulate result documents")
     p.add_argument("results", nargs="+")

@@ -5,8 +5,7 @@ eigendecomposition U diag(lambda) U^T of a single chain covariance shared
 by all regions, and inflated by epsilon. Membership uses semi-axes
 epsilon * lambda_i (so the closed-form volume
 pi^(d/2) eps^d prod(lambda_i) / Gamma(1 + d/2) is the literal volume of the
-membership set); `sqrt_scales` switches both membership and volume to the
-epsilon * sqrt(lambda_i) convention consistently.
+membership set).
 
 A jump whitens the offset from the source mode and re-colors it at the
 target mode, with a reflection sign:
@@ -37,8 +36,6 @@ class DartingConfig:
     p_check: float
     epsilon: float
     scale_floor: float = SCALE_FLOOR
-    paper_literal_acceptance: bool = False
-    sqrt_scales: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_check <= 1.0:
@@ -56,24 +53,21 @@ class JumpRegion:
     scales: np.ndarray  # floored eigenvalues, sorted descending
     epsilon: float
     volume: float
-    sqrt_scales: bool = False
 
     @property
     def dim(self) -> int:
         return self.center.size
 
     def semi_axes(self) -> np.ndarray:
-        radial = np.sqrt(self.scales) if self.sqrt_scales else self.scales
-        return self.epsilon * radial
+        return self.epsilon * self.scales
 
 
-def ellipsoid_volume(dim: int, epsilon: float, scales: np.ndarray, sqrt_scales: bool = False) -> float:
+def ellipsoid_volume(dim: int, epsilon: float, scales: np.ndarray) -> float:
     """Closed-form ellipsoid volume for semi-axes epsilon * scales[i]."""
-    radial = np.sqrt(scales) if sqrt_scales else np.asarray(scales, dtype=float)
     log_vol = (
         0.5 * dim * math.log(math.pi)
         + dim * math.log(epsilon)
-        + float(np.sum(np.log(radial)))
+        + float(np.sum(np.log(np.asarray(scales, dtype=float))))
         - math.lgamma(1.0 + 0.5 * dim)
     )
     return math.exp(log_vol)
@@ -85,7 +79,6 @@ def build_jump_region(
     epsilon: float,
     *,
     scale_floor: float = SCALE_FLOOR,
-    sqrt_scales: bool = False,
 ) -> JumpRegion:
     """Region around a mode from the chain covariance's eigendecomposition.
 
@@ -95,16 +88,15 @@ def build_jump_region(
     mode = np.asarray(mode, dtype=float)
     rotation, eigenvalues = svd_symmetric(chain_covariance)
     scales = np.maximum(eigenvalues, scale_floor)
-    volume = ellipsoid_volume(mode.size, epsilon, scales, sqrt_scales)
-    return JumpRegion(mode, rotation, scales, float(epsilon), volume, sqrt_scales)
+    volume = ellipsoid_volume(mode.size, epsilon, scales)
+    return JumpRegion(mode, rotation, scales, float(epsilon), volume)
 
 
 def contains_state(region: JumpRegion, x: np.ndarray) -> bool:
     """True iff x lies inside the ellipsoid (boundary inclusive)."""
     offset = np.asarray(x, dtype=float) - region.center
     local = region.rotation.T @ offset
-    radial = np.sqrt(region.scales) if region.sqrt_scales else region.scales
-    return bool(np.linalg.norm(local / radial) <= region.epsilon)
+    return bool(np.linalg.norm(local / region.scales) <= region.epsilon)
 
 
 def containing_count(regions: list[JumpRegion], x: np.ndarray) -> int:
@@ -131,9 +123,8 @@ def jump_transform(x: np.ndarray, from_region: JumpRegion, to_region: JumpRegion
 
 
 class DartingStep(NamedTuple):
-    state: np.ndarray
-    density: float
-    outcome: str | None
+    """A jump attempt: no proposal when the state was outside every region."""
+
     jumped: bool
     proposal: np.ndarray | None
     proposal_density: float | None
@@ -157,13 +148,12 @@ def darting_step(
     regions, the destination is volume-weighted over all regions, and the
     jump is accepted with probability
     min[1, n(x) pi(x') / (n(x') pi(x))] with n(.) the containing-region
-    count. `paper_literal_acceptance` reproduces the inverted ratio and
-    comparison exactly as published, for comparison runs only.
+    count.
     """
     current = np.asarray(current, dtype=float)
     containing = [i for i, r in enumerate(regions) if contains_state(r, current)]
     if not containing:
-        return DartingStep(current, float(current_density), None, False, None, None, None)
+        return DartingStep(False, None, None, None)
 
     from_index = containing[0] if len(containing) == 1 else containing[int(rng.integers(len(containing)))]
     to_index = select_jump_target(regions, rng)
@@ -175,33 +165,10 @@ def darting_step(
     n_current = len(containing)
     n_proposal = containing_count(regions, proposal)
 
-    if config.paper_literal_acceptance:
-        if proposal_density <= 0.0:
-            p_accept = 1.0  # infinite (or 0/0) literal ratio clamps to 1: never accept
-        elif current_density <= 0.0:
-            p_accept = 0.0  # zero literal ratio: always accept
-        else:
-            p_accept = min(
-                1.0,
-                (n_current * float(current_density)) / (max(n_proposal, 1) * proposal_density),
-            )
-        accepted = bool(rng.uniform() > p_accept)
+    if proposal_density <= 0.0 or n_proposal == 0:
+        alpha = 0.0
+    elif current_density <= 0.0:
+        alpha = 1.0
     else:
-        if proposal_density <= 0.0 or n_proposal == 0:
-            alpha = 0.0
-        elif current_density <= 0.0:
-            alpha = 1.0
-        else:
-            alpha = min(
-                1.0,
-                (n_current * proposal_density) / (n_proposal * float(current_density)),
-            )
-        accepted = bool(rng.uniform() < alpha)
-
-    if accepted:
-        return DartingStep(
-            proposal, proposal_density, value.outcome, True, proposal, proposal_density, value.outcome
-        )
-    return DartingStep(
-        current, float(current_density), None, False, proposal, proposal_density, value.outcome
-    )
+        alpha = min(1.0, (n_current * proposal_density) / (n_proposal * float(current_density)))
+    return DartingStep(bool(rng.uniform() < alpha), proposal, proposal_density, value.outcome)

@@ -35,3 +35,7 @@ class InvalidDemonstration(GraspMCError):
 
 class MissingSourceModel(GraspMCError):
     """Transfer experiment configured without a source model."""
+
+
+class InvalidConfig(GraspMCError, ValueError):
+    """An experiment config field has the wrong type or lies out of range."""

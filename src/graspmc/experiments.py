@@ -16,18 +16,20 @@ import csv
 import datetime as _dt
 import io
 import json
+import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import lru_cache
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import __version__
 from .darting import DartingConfig
-from .errors import MissingSourceModel
+from .errors import InvalidConfig, MissingSourceModel
 from .grasping import DEFAULT_EVALUATION, EvaluationConfig, Grasp, demonstrate_grasps
 from .gripper import GripperModel, default_gripper
-from .history import ChainHistory
+from .history import OUTCOME_LABELS, ChainHistory
 from .kameleon import KameleonConfig
 from .learning import (
     ACTUAL_OBJECT_MODES,
@@ -60,6 +62,13 @@ EXPERIMENTS = (
 )
 TRANSFER_EXPERIMENTS = (TRANSFER_SIMILAR_MODES, TRANSFER_ACTUAL_MODES)
 DEMONSTRATION_CACHE_SIZE = 64  # (object, seed, count, gripper, evaluation) searches kept
+# ExperimentConfig's annotations, which are strings under `from __future__ import annotations`
+_FIELD_KINDS = {
+    "str": str, "int": Integral, "float": Real, "bool": bool, "str | None": (str, type(None))
+}
+_FIELD_MINIMA = {
+    "seed": 0, "iterations": 1, "demonstration_count": 1, "kappa": 0.0, "position_sigma": 0.0
+}
 
 
 @dataclass(frozen=True)
@@ -80,14 +89,28 @@ class ExperimentConfig:
     kappa: float = 50.0
     position_sigma: float = 0.10
     demonstration_count: int = 5
-    paper_literal_acceptance: bool = False
-    sqrt_scales: bool = False
     source_model: str | None = None
     keep_trace: bool = True
 
     def __post_init__(self) -> None:
+        """Type and range checks, so a bad config fails before any search."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = _FIELD_KINDS[f.type]
+            # bool is Integral: a flag is no count, and a count no flag
+            if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+                raise InvalidConfig(f"{f.name} must be {f.type}, not {value!r}")
+            if isinstance(value, Real) and not math.isfinite(value):
+                raise InvalidConfig(f"{f.name} must be finite, not {value!r}")
         if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
+            raise InvalidConfig(f"unknown experiment {self.experiment!r}")
+        for name, low in _FIELD_MINIMA.items():
+            if getattr(self, name) < low:
+                raise InvalidConfig(f"{name} must be at least {low}, not {getattr(self, name)!r}")
+        try:
+            self.kameleon(), self.darting()
+        except ValueError as exc:
+            raise InvalidConfig(str(exc)) from exc
 
     def kameleon(self) -> KameleonConfig:
         return KameleonConfig(
@@ -102,8 +125,6 @@ class ExperimentConfig:
             p_check=self.p_check,
             epsilon=self.epsilon,
             scale_floor=self.scale_floor,
-            paper_literal_acceptance=self.paper_literal_acceptance,
-            sqrt_scales=self.sqrt_scales,
         )
 
     def to_dict(self) -> dict:
@@ -112,9 +133,11 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
         known = {f.name for f in fields(ExperimentConfig)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        required = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
+        if set(doc) - known:
+            raise InvalidConfig(f"unknown config fields: {sorted(set(doc) - known)}")
+        if required - set(doc):
+            raise InvalidConfig(f"missing config fields: {sorted(required - set(doc))}")
         return ExperimentConfig(**doc)
 
 
@@ -198,21 +221,21 @@ def _demonstrations(
 
 
 def _trace_rows(history: ChainHistory) -> list[dict]:
-    rows = []
-    for state, density, accepted, record, move in zip(
-        history.states, history.densities, history.accepted, history.proposals, history.moves
-    ):
-        rows.append(
-            {
-                "state": [float(x) for x in state],
-                "density": float(density),
-                "outcome": record.outcome,
-                "accepted": bool(accepted),
-                "jumped": move == "jump" and bool(accepted),
-                "move": move,
-            }
+    h = history
+    return [
+        {
+            "state": state,
+            "density": density,
+            "outcome": OUTCOME_LABELS[code],
+            "accepted": accepted,
+            "jumped": move == "jump" and accepted,
+            "move": move,
+        }
+        for state, density, code, accepted, move in zip(
+            h.states.tolist(), h.densities.tolist(), h.outcomes.tolist(), h.accepted.tolist(),
+            h.moves.tolist(),
         )
-    return rows
+    ]
 
 
 def run_experiment(
@@ -404,10 +427,10 @@ def export_samples(
 
     for mode, quality in zip(model.modes, model.mode_qualities()):
         add(mode, quality, "demonstrated")
-    for record in model.chain.proposals:
-        if record.outcome is None:
-            continue
-        add(Grasp.from_vector(record.state), record.density, "learned")
+    chain = model.chain
+    for state, density, code in zip(chain.proposals, chain.proposal_densities, chain.outcomes):
+        if code >= 0:
+            add(Grasp.from_vector(state), density, "learned")
 
     doc = {"schema": EXPORT_SCHEMA, "object": model.object_name, "records": records}
     return json.dumps(doc)

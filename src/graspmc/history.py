@@ -2,9 +2,11 @@
 
 A history distinguishes seed material (states or proposals present before
 iteration 0: demonstrations, a reused chain, a rough sketch) from stepped
-material recorded once per iteration. The four per-step lists stay index
-aligned. `proposal_sourced` flags rough-sketch histories, whose adaptation
-subsamples come from the proposal pool instead of the accepted states.
+material, one row per iteration in arrays that `kameleon._run_chain`
+allocates once. Row t of every step column describes iteration t. Outcomes
+are codes into `OUTCOME_LABELS`, -1 when the target attached no label.
+`proposal_sourced` flags rough-sketch histories, whose adaptation
+subsamples come from the proposals instead of the accepted states.
 """
 
 from __future__ import annotations
@@ -13,60 +15,52 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grasping import OUTCOME_KINDS
 
-@dataclass(frozen=True)
-class ProposalRecord:
-    state: np.ndarray
-    density: float
-    accepted: bool
-    outcome: str | None = None
+OUTCOME_LABELS = (*OUTCOME_KINDS, None)  # code -1 indexes the trailing None
+OUTCOME_CODES = {label: code for code, label in enumerate(OUTCOME_KINDS)} | {None: -1}
+MOVE_DTYPE = "U11"  # fits "kameleon", "random-walk", "jump" and "recount"
+
+
+def rows(values=()) -> np.ndarray:
+    """State vectors stacked as an (n, d) float array; (0, 0) when empty."""
+    if not len(values):
+        return np.empty((0, 0))
+    return np.array(values, dtype=float).reshape(len(values), -1)
+
+
+def _column(dtype):
+    return field(default_factory=lambda: np.empty(0, dtype))
 
 
 @dataclass
 class ChainHistory:
     proposal_sourced: bool = False
-    seed_states: list[np.ndarray] = field(default_factory=list)
-    seed_densities: list[float] = field(default_factory=list)
-    seed_proposals: list[ProposalRecord] = field(default_factory=list)
-    states: list[np.ndarray] = field(default_factory=list)
-    densities: list[float] = field(default_factory=list)
-    accepted: list[bool] = field(default_factory=list)
-    proposals: list[ProposalRecord] = field(default_factory=list)
-    moves: list[str] = field(default_factory=list)
+    seed_states: np.ndarray = field(default_factory=rows)
+    seed_densities: np.ndarray = _column(float)
+    seed_proposals: np.ndarray = field(default_factory=rows)
+    seed_proposal_densities: np.ndarray = _column(float)
+    seed_accepted: np.ndarray = _column(bool)
+    seed_outcomes: np.ndarray = _column(np.int8)
+    states: np.ndarray = field(default_factory=rows)
+    densities: np.ndarray = _column(float)
+    proposals: np.ndarray = field(default_factory=rows)
+    proposal_densities: np.ndarray = _column(float)
+    accepted: np.ndarray = _column(bool)
+    outcomes: np.ndarray = _column(np.int8)
+    moves: np.ndarray = _column(MOVE_DTYPE)
 
-    def seed_state(self, state: np.ndarray, density: float) -> None:
-        if density < 0.0:
+    def seed_state(self, state: np.ndarray, density: float | np.ndarray) -> None:
+        """Append one seed state, or an (n, d) block with its n densities."""
+        state = np.asarray(state, dtype=float)
+        density = np.asarray(density, dtype=float)
+        if np.any(density < 0.0):
             raise ValueError("densities must be nonnegative")
-        self.seed_states.append(np.asarray(state, dtype=float))
-        self.seed_densities.append(float(density))
-
-    def seed_proposal(self, record: ProposalRecord) -> None:
-        self.seed_proposals.append(record)
-
-    def record_step(
-        self,
-        state: np.ndarray,
-        density: float,
-        accepted: bool,
-        proposal: ProposalRecord,
-        move: str,
-    ) -> None:
-        if density < 0.0 or proposal.density < 0.0:
-            raise ValueError("densities must be nonnegative")
-        self.states.append(np.asarray(state, dtype=float))
-        self.densities.append(float(density))
-        self.accepted.append(bool(accepted))
-        self.proposals.append(proposal)
-        self.moves.append(move)
-
-    def state_pool(self) -> list[np.ndarray]:
-        return self.seed_states + self.states
-
-    def proposal_pool(self) -> list[np.ndarray]:
-        return [r.state for r in self.seed_proposals] + [r.state for r in self.proposals]
-
-    def subsample_source(self) -> list[np.ndarray]:
-        return self.proposal_pool() if self.proposal_sourced else self.state_pool()
+        dim = state.shape[-1]
+        self.seed_states = np.concatenate(
+            [self.seed_states.reshape(-1, dim), state.reshape(-1, dim)]
+        )
+        self.seed_densities = np.append(self.seed_densities, density)
 
     def __len__(self) -> int:
         return len(self.states)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .darting import DartingConfig, JumpRegion, darting_step
 from .errors import EmptyHistory
-from .history import ChainHistory, ProposalRecord
+from .history import MOVE_DTYPE, OUTCOME_CODES, ChainHistory
 from .kernels import GaussianKernel, median_bandwidth
 from .linalg import gaussian_logpdf, sample_gaussian
 from .targets import TargetFn, TargetValue
@@ -62,21 +62,13 @@ class LocalStep(NamedTuple):
     accepted: bool
 
 
-def subsample_history(
-    history: ChainHistory, n: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """min(n, |source|) states drawn uniformly without replacement.
-
-    The source list is the accepted states, or the recorded proposals when
-    the history is flagged as a rough sketch.
-    """
-    source = history.subsample_source()
-    if not source:
+def subsample_history(pool: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """min(n, len(pool)) rows of `pool` drawn uniformly without replacement."""
+    if not len(pool):
         raise EmptyHistory("no states to subsample")
-    if n >= len(source):
-        return [np.asarray(s, dtype=float) for s in source]
-    indices = rng.choice(len(source), size=n, replace=False)
-    return [np.asarray(source[i], dtype=float) for i in indices]
+    if n >= len(pool):
+        return pool
+    return pool[rng.choice(len(pool), size=n, replace=False)]
 
 
 def kernel_gradient_matrix(
@@ -113,7 +105,7 @@ def adaptation_schedule(iteration: int, config: KameleonConfig) -> bool:
 
 
 def covariance_at(
-    point: np.ndarray, subsample: list[np.ndarray], kernel: GaussianKernel, config: KameleonConfig
+    point: np.ndarray, subsample: np.ndarray, kernel: GaussianKernel, config: KameleonConfig
 ) -> np.ndarray:
     m = kernel_gradient_matrix(subsample, point, kernel)
     return proposal_covariance(m, config)
@@ -140,7 +132,7 @@ def kameleon_step(
     config: KameleonConfig,
     rng: np.random.Generator,
     *,
-    subsample: list[np.ndarray] = (),
+    subsample: np.ndarray = (),
     kernel: GaussianKernel | None = None,  # required with a subsample
     postprocess: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> LocalStep:
@@ -153,7 +145,7 @@ def kameleon_step(
     `symmetric_acceptance`.
     """
     current = np.asarray(current, dtype=float)
-    adaptive = bool(subsample) and config.nu > 0.0
+    adaptive = len(subsample) > 0 and config.nu > 0.0
 
     if adaptive:
         cov_current = covariance_at(current, subsample, kernel, config)
@@ -208,20 +200,33 @@ def _run_chain(
     - the local step is `walk` ("random-walk") if given, else `kameleon_step`.
 
     Steps only propose and decide; this loop alone moves the state and
-    records each proposal with its decision.
+    records each proposal with its decision, in step rows allocated here, so
+    `history` must come without steps. The subsample pool is the seed
+    proposals then each step's proposal in a proposal-sourced history, the
+    seed states then each step's state otherwise.
     """
+    if len(history):
+        raise ValueError("the chain history already has steps")
     density, outcome = float(value.density), value.outcome
     history.seed_state(current, density)
-    subsample: list[np.ndarray] = []
+    h, dim = history, current.size
+    h.states, h.proposals = np.empty((iterations, dim)), np.empty((iterations, dim))
+    h.densities, h.proposal_densities = np.empty(iterations), np.empty(iterations)
+    h.accepted, h.outcomes = np.zeros(iterations, bool), np.full(iterations, -1, np.int8)
+    h.moves = np.empty(iterations, MOVE_DTYPE)
+    seed_rows = h.seed_proposals if h.proposal_sourced else h.seed_states
+    pool = np.concatenate([seed_rows.reshape(-1, dim), np.empty((iterations, dim))])
+    seeded = len(seed_rows)
+    subsample = ()
     kernel = kameleon.kernel if kameleon is not None else None
     for t in range(iterations):
         if (
             kameleon is not None
             and kameleon.nu > 0.0
             and adaptation_schedule(t, kameleon)
-            and history.subsample_source()
+            and seeded + t > 0
         ):
-            subsample = subsample_history(history, kameleon.subsample_size, rng)
+            subsample = subsample_history(pool[: seeded + t], kameleon.subsample_size, rng)
             kernel = kameleon.kernel or GaussianKernel(median_bandwidth(subsample))
         if darting is not None and rng.uniform() >= darting.p_check and regions:
             jump = darting_step(
@@ -245,10 +250,15 @@ def _run_chain(
             proposal, p_density, p_outcome, accepted = (
                 step.proposal, step.proposal_density, step.outcome, step.accepted
             )
+        if p_density < 0.0:
+            raise ValueError("densities must be nonnegative")
         if accepted:
             current, density, outcome = proposal, p_density, p_outcome
-        record = ProposalRecord(proposal, p_density, accepted, p_outcome)
-        history.record_step(current, density, accepted, record, move)
+        h.states[t], h.densities[t], h.proposals[t], h.proposal_densities[t] = (
+            current, density, proposal, p_density
+        )
+        h.accepted[t], h.outcomes[t], h.moves[t] = accepted, OUTCOME_CODES[p_outcome], move
+        pool[seeded + t] = proposal if h.proposal_sourced else current
     return history
 
 

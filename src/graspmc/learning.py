@@ -28,7 +28,7 @@ from .grasping import (
     workspace_bounds,
 )
 from .gripper import GripperModel
-from .history import ChainHistory, ProposalRecord
+from .history import ChainHistory, rows
 from .kameleon import KameleonConfig, LocalStep, _run_chain, symmetric_acceptance
 from .objects import ObjectModel
 from .targets import TargetFn
@@ -51,23 +51,25 @@ class Tally(NamedTuple):
 
 @dataclass
 class RoughSketch:
-    proposals: list[ProposalRecord]
+    """Proposal rows: states, densities, decisions and outcome codes."""
+
+    proposals: np.ndarray
+    densities: np.ndarray
+    accepted: np.ndarray
+    outcomes: np.ndarray
     source_object: str
     position_sigma: float
     kappa: float
 
     def __post_init__(self) -> None:
-        if not self.proposals:
+        if not len(self.proposals):
             raise ValueError("a rough sketch must contain at least one proposal")
 
-    def states(self) -> list[np.ndarray]:
-        return [p.state for p in self.proposals]
-
     def covariance(self) -> np.ndarray:
-        return _state_covariance(self.states())
+        return _state_covariance(self.proposals)
 
 
-def _state_covariance(states: list[np.ndarray]) -> np.ndarray:
+def _state_covariance(states: np.ndarray) -> np.ndarray:
     """Symmetrized sample covariance of the states; zero for a single state."""
     stacked = np.asarray(states)
     cov = np.cov(stacked.T) if len(stacked) > 1 else np.zeros((stacked.shape[1],) * 2)
@@ -95,12 +97,8 @@ class LearnedModel:
 
 def tally_outcomes(model: "LearnedModel | ChainHistory") -> Tally:
     """Outcome counts over every evaluated proposal, burn-in included."""
-    history = model.chain if isinstance(model, LearnedModel) else model
-    counts = {"success": 0, "slipped": 0, "collision": 0, "miss": 0}
-    for record in history.proposals:
-        if record.outcome is not None:
-            counts[record.outcome] += 1
-    return Tally(**counts)
+    codes = (model.chain if isinstance(model, LearnedModel) else model).outcomes
+    return Tally(*np.bincount(codes[codes >= 0], minlength=len(Tally._fields)).tolist())
 
 
 def build_rough_sketch(
@@ -121,7 +119,7 @@ def build_rough_sketch(
     the chain, are the sketch. The walk is recorded in `history` (a fresh
     proposal-sourced one unless given, as the random-walk baseline
     experiment does to tally it), and the sketch's proposals are that
-    history's records.
+    history's proposal rows.
     """
     target = make_target(obj, gripper, eval_config)
 
@@ -140,7 +138,10 @@ def build_rough_sketch(
         raise InvalidDemonstration("sketch start state has zero density")
     history = history if history is not None else ChainHistory(proposal_sourced=True)
     _run_chain(target, current, value, iterations, history, rng, walk=walk)
-    return RoughSketch(history.proposals, obj.name, position_sigma, kappa)
+    return RoughSketch(
+        history.proposals, history.proposal_densities, history.accepted, history.outcomes,
+        obj.name, position_sigma, kappa,
+    )
 
 
 def random_sketch(
@@ -157,13 +158,11 @@ def random_sketch(
     double the experiment's evaluation budget.
     """
     lo, hi = workspace_bounds(obj, gripper, eval_config)
-    proposals = []
-    for _ in range(size):
-        position = rng.uniform(lo, hi)
-        orientation = quat.random_uniform(rng)
-        state = np.concatenate([position, orientation])
-        proposals.append(ProposalRecord(state, 0.0, False, None))
-    return RoughSketch(proposals, obj.name, float("nan"), float("nan"))
+    states = [np.concatenate([rng.uniform(lo, hi), quat.random_uniform(rng)]) for _ in range(size)]
+    return RoughSketch(
+        rows(states), np.zeros(size), np.zeros(size, bool), np.full(size, -1, np.int8),
+        obj.name, float("nan"), float("nan"),
+    )
 
 
 def run_combined_chain(
@@ -213,7 +212,6 @@ def _learn(
             covariance,
             darting_config.epsilon,
             scale_floor=darting_config.scale_floor,
-            sqrt_scales=darting_config.sqrt_scales,
         )
         for mode in modes
     ]
@@ -249,11 +247,14 @@ def active_learn(
     if min(mode_densities) <= 0.0:
         raise InvalidDemonstration(f"demonstration has zero density on {obj.name}")
 
-    history = ChainHistory(proposal_sourced=True)
-    for record in sketch.proposals:
-        history.seed_proposal(record)
-    for demo, density in zip(demonstrations, mode_densities):
-        history.seed_state(demo.to_vector(), density)
+    history = ChainHistory(
+        proposal_sourced=True,
+        seed_proposals=sketch.proposals,
+        seed_proposal_densities=sketch.densities,
+        seed_accepted=sketch.accepted,
+        seed_outcomes=sketch.outcomes,
+    )
+    history.seed_state(rows([demo.to_vector() for demo in demonstrations]), mode_densities)
     return _learn(
         obj, target, demonstrations, mode_densities, sketch.covariance(), history,
         kameleon_config, darting_config, iterations, rng,
@@ -290,12 +291,12 @@ def transfer_learn(
     else:
         modes = list(source.modes)
 
-    source_states = source.chain.state_pool()
-    if not source_states:
+    chain = source.chain
+    source_states = rows([*chain.seed_states, *chain.states])
+    if not len(source_states):
         raise ValueError("source model has an empty chain")
     history = ChainHistory(proposal_sourced=False)
-    for state, density in zip(source_states, source.chain.seed_densities + source.chain.densities):
-        history.seed_state(state, density)
+    history.seed_state(source_states, np.concatenate([chain.seed_densities, chain.densities]))
 
     target = make_target(novel_obj, gripper, eval_config)
     mode_densities = [float(target(mode.to_vector()).density) for mode in modes]

@@ -12,56 +12,63 @@ import numpy as np
 
 from . import quaternions as quat
 from .darting import JumpRegion
+from .errors import GraspMCError
 from .grasping import Grasp
-from .history import ChainHistory, ProposalRecord
+from .history import MOVE_DTYPE, OUTCOME_CODES, OUTCOME_LABELS, ChainHistory, rows
 from .learning import LearnedModel
 
 MODEL_SCHEMA = "graspmc.model/1"
 
 
-def _record_to_dict(record: ProposalRecord) -> dict:
-    return {
-        "state": record.state.tolist(),
-        "density": record.density,
-        "accepted": record.accepted,
-        "outcome": record.outcome,
-    }
+def _records(states, densities, accepted, outcomes) -> list[dict]:
+    return [
+        {"state": state, "density": density, "accepted": flag, "outcome": OUTCOME_LABELS[code]}
+        for state, density, flag, code in zip(
+            states.tolist(), densities.tolist(), accepted.tolist(), outcomes.tolist()
+        )
+    ]
 
 
-def _record_from_dict(doc: dict) -> ProposalRecord:
-    return ProposalRecord(
-        np.asarray(doc["state"], dtype=float),
-        float(doc["density"]),
-        bool(doc["accepted"]),
-        doc.get("outcome"),
+def _columns(records: list[dict]) -> tuple[np.ndarray, ...]:
+    """The state, density, accepted and outcome-code columns of `records`."""
+    return (
+        rows([r["state"] for r in records]),
+        np.array([r["density"] for r in records], dtype=float),
+        np.array([r["accepted"] for r in records], dtype=bool),
+        np.array([OUTCOME_CODES[r.get("outcome")] for r in records], dtype=np.int8),
     )
 
 
 def history_to_dict(history: ChainHistory) -> dict:
+    h = history
     return {
-        "proposal_sourced": history.proposal_sourced,
-        "seed_states": [s.tolist() for s in history.seed_states],
-        "seed_densities": list(history.seed_densities),
-        "seed_proposals": [_record_to_dict(r) for r in history.seed_proposals],
-        "states": [s.tolist() for s in history.states],
-        "densities": list(history.densities),
-        "accepted": list(history.accepted),
-        "proposals": [_record_to_dict(r) for r in history.proposals],
-        "moves": list(history.moves),
+        "proposal_sourced": h.proposal_sourced,
+        "seed_states": h.seed_states.tolist(),
+        "seed_densities": h.seed_densities.tolist(),
+        "seed_proposals": _records(
+            h.seed_proposals, h.seed_proposal_densities, h.seed_accepted, h.seed_outcomes
+        ),
+        "states": h.states.tolist(),
+        "densities": h.densities.tolist(),
+        "accepted": h.accepted.tolist(),
+        "proposals": _records(h.proposals, h.proposal_densities, h.accepted, h.outcomes),
+        "moves": h.moves.tolist(),
     }
 
 
 def history_from_dict(doc: dict) -> ChainHistory:
-    history = ChainHistory(proposal_sourced=bool(doc["proposal_sourced"]))
-    history.seed_states = [np.asarray(s, dtype=float) for s in doc["seed_states"]]
-    history.seed_densities = [float(d) for d in doc["seed_densities"]]
-    history.seed_proposals = [_record_from_dict(r) for r in doc["seed_proposals"]]
-    history.states = [np.asarray(s, dtype=float) for s in doc["states"]]
-    history.densities = [float(d) for d in doc["densities"]]
-    history.accepted = [bool(a) for a in doc["accepted"]]
-    history.proposals = [_record_from_dict(r) for r in doc["proposals"]]
-    history.moves = [str(m) for m in doc["moves"]]
-    return history
+    """The history written by `history_to_dict`; each step's decision is
+    read from its proposal record, not the document's repeated list."""
+    return ChainHistory(
+        bool(doc["proposal_sourced"]),
+        rows(doc["seed_states"]),
+        np.array(doc["seed_densities"], dtype=float),
+        *_columns(doc["seed_proposals"]),
+        rows(doc["states"]),
+        np.array(doc["densities"], dtype=float),
+        *_columns(doc["proposals"]),
+        np.array(doc["moves"], dtype=MOVE_DTYPE),
+    )
 
 
 def _region_to_dict(region: JumpRegion) -> dict:
@@ -71,18 +78,19 @@ def _region_to_dict(region: JumpRegion) -> dict:
         "scales": region.scales.tolist(),
         "epsilon": region.epsilon,
         "volume": region.volume,
-        "sqrt_scales": region.sqrt_scales,
+        "sqrt_scales": False,  # semi-axes are epsilon * scales; the key keeps the format
     }
 
 
 def _region_from_dict(doc: dict) -> JumpRegion:
+    if doc["sqrt_scales"]:
+        raise GraspMCError("jump regions with square-root semi-axes are not supported")
     return JumpRegion(
         np.asarray(doc["center"], dtype=float),
         np.asarray(doc["rotation"], dtype=float),
         np.asarray(doc["scales"], dtype=float),
         float(doc["epsilon"]),
         float(doc["volume"]),
-        bool(doc["sqrt_scales"]),
     )
 
 
@@ -134,7 +142,7 @@ def sketch_to_document(sketch) -> str:
         "source_object": sketch.source_object,
         "position_sigma": sketch.position_sigma,
         "kappa": sketch.kappa,
-        "proposals": [_record_to_dict(r) for r in sketch.proposals],
+        "proposals": _records(sketch.proposals, sketch.densities, sketch.accepted, sketch.outcomes),
     }
     return json.dumps(doc)
 
@@ -146,7 +154,7 @@ def sketch_from_document(text: str):
     if doc.get("schema") != SKETCH_SCHEMA:
         raise ValueError(f"unsupported sketch schema {doc.get('schema')!r}")
     return RoughSketch(
-        [_record_from_dict(r) for r in doc["proposals"]],
+        *_columns(doc["proposals"]),
         doc["source_object"],
         float(doc["position_sigma"]),
         float(doc["kappa"]),

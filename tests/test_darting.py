@@ -15,8 +15,8 @@ from graspmc.errors import NoRegions
 from graspmc.targets import TargetValue, gaussian_mixture_target
 
 
-def region_at(center, cov, eps=1.0, **kw):
-    return build_jump_region(np.asarray(center, dtype=float), np.asarray(cov, dtype=float), eps, **kw)
+def region_at(center, cov, eps=1.0):
+    return build_jump_region(np.asarray(center, dtype=float), np.asarray(cov, dtype=float), eps)
 
 
 class TestVolume:
@@ -42,11 +42,6 @@ class TestVolume:
             region = region_at(rng.standard_normal(4), a @ a.T, eps=0.7)
             expected = ellipsoid_volume(4, 0.7, region.scales)
             assert region.volume == pytest.approx(expected, rel=1e-9)
-
-    def test_sqrt_scales_volume(self):
-        region = region_at([0.0, 0.0], np.diag([4.0, 1.0]), sqrt_scales=True)
-        # semi-axes 2 and 1 -> area 2 pi
-        assert region.volume == pytest.approx(2.0 * np.pi, rel=1e-12)
 
 
 class TestMembership:
@@ -160,7 +155,7 @@ class TestDartingStep:
         step = darting_step(current, 1e-8, regions, target, config, np.random.default_rng(0))
         assert not step.jumped
         assert step.proposal is None
-        assert np.array_equal(step.state, current)
+        assert np.array_equal(step.proposal if step.jumped else current, current)
 
     def test_symmetric_centers_always_accepted(self):
         centers, target, regions, config = self.bimodal_setup()
@@ -168,7 +163,8 @@ class TestDartingStep:
             density = target(centers[0]).density
             step = darting_step(centers[0], density, regions, target, config, np.random.default_rng(seed))
             assert step.jumped
-            assert np.allclose(step.state, centers[0]) or np.allclose(step.state, centers[1])
+            state = step.proposal if step.jumped else centers[0]
+            assert np.allclose(state, centers[0]) or np.allclose(state, centers[1])
 
     def test_zero_density_proposal_rejected(self):
         centers = np.array([[0.0, 0.0], [6.0, 0.0]])
@@ -191,21 +187,9 @@ class TestDartingStep:
         state, density = np.array([0.1, 0.0]), target(np.array([0.1, 0.0])).density
         for _ in range(200):
             step = darting_step(state, density, regions, target, config, rng)
-            state, density = step.state, step.density
+            if step.jumped:
+                state, density = step.proposal, step.proposal_density
             assert density > 0.0
-
-    def test_paper_literal_acceptance_inverts_behaviour(self):
-        # symmetric equal-density centers: the standard form always accepts,
-        # the literal published form (inverted ratio and comparison) never does
-        centers, target, regions, _ = self.bimodal_setup()
-        standard = DartingConfig(p_check=0.6, epsilon=1.0)
-        literal = DartingConfig(p_check=0.6, epsilon=1.0, paper_literal_acceptance=True)
-        density = target(centers[0]).density
-        for seed in range(30):
-            step = darting_step(centers[0], density, regions, target, standard, np.random.default_rng(seed))
-            assert step.jumped
-            step = darting_step(centers[0], density, regions, target, literal, np.random.default_rng(seed))
-            assert not step.jumped
 
     def test_containing_count_matches_direct_recount(self):
         rng = np.random.default_rng(9)

@@ -6,7 +6,7 @@ import pytest
 
 from graspmc import experiments
 from graspmc.cli import main as cli_main
-from graspmc.errors import DemonstrationFailure, MissingSourceModel
+from graspmc.errors import DemonstrationFailure, GraspMCError, InvalidConfig, MissingSourceModel
 from graspmc.experiments import (
     ACTIVE_BIASED_INIT,
     ACTIVE_RANDOM_INIT,
@@ -57,6 +57,43 @@ class TestConfig:
             ExperimentConfig.from_dict(
                 {"experiment": RANDOM_WALK_BASELINE, "object_name": "plate", "seed": 0, "x": 1}
             )
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"p_check": "0.6"},
+            {"iterations": -5},
+            {"gamma": 0},
+            {"iterations": 5.0},
+            {"subsample_size": True},
+            {"keep_trace": 1},
+            {"source_model": 3},
+            {"seed": -1},
+            {"nu": float("nan")},
+            {"epsilon": -0.7},
+            {"p_check": 1.5},
+            {"burn_in": -1},
+            {"demonstration_count": 0},
+            {"kappa": -1.0},
+            {"experiment": "warp-drive"},
+            {"seed": None},
+        ],
+        ids=repr,
+    )
+    def test_bad_document_rejected_before_any_search(self, monkeypatch, change):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the demonstration search ran")
+
+        monkeypatch.setattr(experiments, "demonstrate_grasps", no_search)
+        doc = {"experiment": ACTIVE_RANDOM_INIT, "object_name": "plate", "seed": 0, **change}
+        doc = {key: value for key, value in doc.items() if value is not None}
+        with pytest.raises(InvalidConfig) as caught:
+            run_experiment(ExperimentConfig.from_dict(doc))
+        assert isinstance(caught.value, GraspMCError) and isinstance(caught.value, ValueError)
+
+    def test_integers_accepted_for_real_fields(self):
+        doc = {"experiment": ACTIVE_RANDOM_INIT, "object_name": "plate", "seed": 0, "gamma": 1}
+        assert ExperimentConfig.from_dict(doc).kameleon().gamma == 1
 
 
 class TestRunExperiment:

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from graspmc.darting import DartingConfig, build_jump_region
 from graspmc.errors import EmptyHistory
-from graspmc.history import ChainHistory, ProposalRecord
+from graspmc import kameleon
+from graspmc.history import OUTCOME_LABELS, ChainHistory, rows
 from graspmc.kameleon import (
     KameleonConfig,
     adaptation_schedule,
@@ -20,41 +21,60 @@ from graspmc.learning import run_combined_chain, tally_outcomes
 from graspmc.targets import TargetValue, standard_normal_target
 
 
-def history_with_states(states):
-    h = ChainHistory()
-    for s in states:
-        h.seed_state(np.asarray(s, dtype=float), 1.0)
-    return h
-
-
 class TestSubsample:
     def test_small_history_returned_whole(self):
-        h = history_with_states([[0.0], [1.0], [2.0]])
-        out = subsample_history(h, 100, np.random.default_rng(0))
+        out = subsample_history(rows([[0.0], [1.0], [2.0]]), 100, np.random.default_rng(0))
         assert len(out) == 3
 
     def test_cardinality(self):
-        h = history_with_states([[float(i)] for i in range(1000)])
-        out = subsample_history(h, 100, np.random.default_rng(0))
+        pool = rows([[float(i)] for i in range(1000)])
+        out = subsample_history(pool, 100, np.random.default_rng(0))
         assert len(out) == 100
         assert len({float(s[0]) for s in out}) == 100
 
     def test_determinism(self):
-        h = history_with_states([[float(i)] for i in range(1000)])
-        a = subsample_history(h, 100, np.random.default_rng(5))
-        b = subsample_history(h, 100, np.random.default_rng(5))
-        assert np.array_equal(np.asarray(a), np.asarray(b))
+        pool = rows([[float(i)] for i in range(1000)])
+        a = subsample_history(pool, 100, np.random.default_rng(5))
+        b = subsample_history(pool, 100, np.random.default_rng(5))
+        assert np.array_equal(a, b)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyHistory):
-            subsample_history(ChainHistory(), 10, np.random.default_rng(0))
+            subsample_history(rows(), 10, np.random.default_rng(0))
 
-    def test_proposal_sourced_flag_switches_pool(self):
-        h = ChainHistory(proposal_sourced=True)
-        h.seed_state([0.0], 1.0)
-        h.seed_proposal(ProposalRecord(np.array([42.0]), 0.5, False))
-        out = subsample_history(h, 10, np.random.default_rng(0))
-        assert [float(s[0]) for s in out] == [42.0]
+    def test_proposal_sourced_flag_switches_pool(self, monkeypatch):
+        # the burn-in pool at step t: seed proposals then the first t
+        # proposals when proposal-sourced, else seed states then states
+        pools = []
+
+        def spy(pool, n, rng):
+            pools.append(pool.copy())
+            return pool
+
+        def only_start(state):  # positive only at the start, so every proposal is rejected
+            return TargetValue(float(state[0] == 0.0), None)
+
+        monkeypatch.setattr(kameleon, "subsample_history", spy)
+        cfg = KameleonConfig(gamma=0.5, nu=1.0, subsample_size=10, burn_in=3)
+        for sourced in (True, False):
+            pools.clear()
+            h = ChainHistory(proposal_sourced=sourced, seed_proposals=rows([[42.0]]))
+            h.seed_state([7.0], 1.0)
+            run_kameleon_chain(only_start, [0.0], 4, cfg, np.random.default_rng(0), history=h)
+            assert not h.accepted.any()
+            seeded, stepped = (
+                (h.seed_proposals, h.proposals) if sourced else (h.seed_states, h.states)
+            )
+            assert [len(pool) for pool in pools] == [len(seeded) + t for t in range(3)]
+            for t, pool in enumerate(pools):
+                assert np.array_equal(pool, np.concatenate([seeded, stepped[:t]]))
+
+    def test_history_with_steps_rejected(self):
+        cfg = KameleonConfig(gamma=0.5, nu=0.0, subsample_size=10)
+        target = standard_normal_target(1)
+        h = run_kameleon_chain(target, [0.0], 3, cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            run_kameleon_chain(target, [0.0], 3, cfg, np.random.default_rng(0), history=h)
 
 
 class TestKernelGradientMatrix:
@@ -173,10 +193,10 @@ class TestChainDriver:
         h = run_kameleon_chain(
             lambda s: TargetValue(0.0, None), start, 12, cfg, np.random.default_rng(0)
         )
-        assert len(h.proposals) == 12
-        assert not any(h.accepted) and not any(r.accepted for r in h.proposals)
+        assert len(h.proposals) == len(h.proposal_densities) == 12
+        assert not h.accepted.any() and not h.proposal_densities.any()
         assert all(np.array_equal(state, start) for state in h.states)
-        assert all(not np.array_equal(r.state, start) for r in h.proposals)
+        assert all(not np.array_equal(proposal, start) for proposal in h.proposals)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -204,13 +224,14 @@ class TestChainDriver:
             assert set(history.moves) == {"kameleon"}
         state, density = history.seed_states[-1], history.seed_densities[-1]
         for t in range(iterations):
-            record = history.proposals[t]
-            assert record.accepted == history.accepted[t]
             if history.accepted[t]:
-                state, density = record.state, record.density
+                state, density = history.proposals[t], history.proposal_densities[t]
             assert np.array_equal(history.states[t], state)
             assert history.densities[t] == density
-        labelled = sum(record.outcome is not None for record in history.proposals)
+            if history.moves[t] != "recount":
+                proposal = history.proposals[t]
+                assert OUTCOME_LABELS[history.outcomes[t]] == labelled_bump_target(proposal).outcome
+        labelled = int(np.sum(history.outcomes >= 0))
         assert tally_outcomes(history).total == labelled
 
 

@@ -1,16 +1,23 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graspmc import quaternions as quat
 from graspmc.darting import DartingConfig, build_jump_region
-from graspmc.errors import InvalidDemonstration
+from graspmc.errors import GraspMCError, InvalidDemonstration
 from graspmc.grasping import Grasp, demonstrate_grasps, make_target
 from graspmc.gripper import default_gripper
-from graspmc.history import ChainHistory
+from graspmc.history import MOVE_DTYPE, ChainHistory, rows
 from graspmc.kameleon import KameleonConfig
 from graspmc.learning import (
     ACTUAL_OBJECT_MODES,
     SIMILAR_OBJECT_MODES,
+    LearnedModel,
+    RoughSketch,
     active_learn,
     build_rough_sketch,
     random_sketch,
@@ -20,6 +27,8 @@ from graspmc.learning import (
 )
 from graspmc.objects import get_object
 from graspmc.serialization import (
+    history_from_dict,
+    history_to_dict,
     model_from_document,
     model_to_document,
     sketch_from_document,
@@ -55,10 +64,10 @@ class TestRoughSketch:
         sketch = build_rough_sketch(
             get_object("plate"), GRIPPER, 40, start, 1e-12, 1e9, np.random.default_rng(1)
         )
-        for record in sketch.proposals:
-            assert record.accepted
-            np.testing.assert_allclose(record.state[:3], start.to_vector()[:3], atol=1e-9)
-            assert abs(abs(record.state[3:] @ start.to_vector()[3:]) - 1.0) < 1e-7
+        assert sketch.accepted.all()
+        for proposal in sketch.proposals:
+            np.testing.assert_allclose(proposal[:3], start.to_vector()[:3], atol=1e-9)
+            assert abs(abs(proposal[3:] @ start.to_vector()[3:]) - 1.0) < 1e-7
 
     def test_seeded_determinism(self):
         demos = plate_demos(count=1)
@@ -68,7 +77,7 @@ class TestRoughSketch:
         b = build_rough_sketch(
             get_object("plate"), GRIPPER, 60, demos[0], 0.1, 50.0, np.random.default_rng(3)
         )
-        np.testing.assert_array_equal(np.asarray(a.states()), np.asarray(b.states()))
+        np.testing.assert_array_equal(a.proposals, b.proposals)
 
     def test_zero_density_start_rejected(self):
         bad = Grasp(np.array([5.0, 5.0, 5.0]), np.array([1.0, 0, 0, 0]))
@@ -80,11 +89,12 @@ class TestRoughSketch:
     def test_random_sketch_size_and_flags(self):
         sketch = random_sketch(get_object("plate"), GRIPPER, 200, np.random.default_rng(5))
         assert len(sketch.proposals) == 200
-        assert all(r.density == 0.0 and r.outcome is None for r in sketch.proposals)
+        assert not sketch.densities.any() and not sketch.accepted.any()
+        assert (sketch.outcomes == -1).all()
         # uniform orientations are canonical unit quaternions
-        for r in sketch.proposals[:20]:
-            assert abs(np.linalg.norm(r.state[3:]) - 1.0) < 1e-9
-            assert r.state[3] >= 0.0
+        for proposal in sketch.proposals[:20]:
+            assert abs(np.linalg.norm(proposal[3:]) - 1.0) < 1e-9
+            assert proposal[3] >= 0.0
 
 
 class TestActiveLearn:
@@ -247,10 +257,11 @@ class TestTransfer:
             np.random.default_rng(4),
         )
         target = make_target(novel, GRIPPER)
-        for record in model.chain.proposals:
-            if record.accepted:
-                assert record.density > 0.0
-                assert target(record.state).density > 0.0
+        chain = model.chain
+        taken = chain.accepted
+        for proposal, density in zip(chain.proposals[taken], chain.proposal_densities[taken]):
+            assert density > 0.0
+            assert target(proposal).density > 0.0
 
     def test_zero_density_modes_complete_without_error(self):
         demos = [
@@ -309,10 +320,16 @@ class TestSerialization:
             np.testing.assert_array_equal(ra.scales, rb.scales)
             assert ra.volume == rb.volume
         assert clone.mode_densities == model.mode_densities
-        for pa, pb in zip(clone.chain.proposals, model.chain.proposals):
-            np.testing.assert_array_equal(pa.state, pb.state)
-            assert pa.density == pb.density
-            assert pa.outcome == pb.outcome
+        for column in ("proposals", "proposal_densities", "accepted", "outcomes", "moves"):
+            np.testing.assert_array_equal(getattr(clone.chain, column), getattr(model.chain, column))
+
+    def test_square_root_regions_rejected(self):
+        region = build_jump_region(np.zeros(7), np.eye(7), 0.7)
+        doc = json.loads(model_to_document(LearnedModel("plate", ChainHistory(), [], [region])))
+        assert doc["regions"][0]["sqrt_scales"] is False
+        doc["regions"][0]["sqrt_scales"] = True
+        with pytest.raises(GraspMCError):
+            model_from_document(json.dumps(doc))
 
     def test_sketch_round_trip(self):
         demos = plate_demos(count=1)
@@ -320,5 +337,60 @@ class TestSerialization:
             get_object("plate"), GRIPPER, 50, demos[0], 0.10, 50.0, np.random.default_rng(0)
         )
         clone = sketch_from_document(sketch_to_document(sketch))
-        np.testing.assert_array_equal(np.asarray(clone.states()), np.asarray(sketch.states()))
+        np.testing.assert_array_equal(clone.proposals, sketch.proposals)
         assert clone.source_object == sketch.source_object
+
+
+@st.composite
+def proposal_columns(draw, dim, sizes=st.integers(0, 5)):
+    """States, densities, accepted flags and outcome codes of n proposals."""
+    n = draw(sizes)
+    reals = st.floats(-1e3, 1e3, allow_nan=False)
+    return (
+        rows([draw(st.lists(reals, min_size=dim, max_size=dim)) for _ in range(n)]),
+        np.array(draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n)), dtype=float),
+        np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool),
+        np.array(draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)), dtype=np.int8),
+    )
+
+
+@st.composite
+def histories(draw):
+    dim = draw(st.integers(1, 7))
+    seed_states, seed_densities, _, _ = draw(proposal_columns(dim))
+    states, densities, _, _ = draw(proposal_columns(dim))
+    steps = len(states)
+    step_columns = draw(proposal_columns(dim, st.just(steps)))
+    move = st.sampled_from(["kameleon", "random-walk", "jump", "recount"])
+    moves = draw(st.lists(move, min_size=steps, max_size=steps))
+    return ChainHistory(
+        draw(st.booleans()), seed_states, seed_densities, *draw(proposal_columns(dim)),
+        states, densities, *step_columns, np.array(moves, dtype=MOVE_DTYPE),
+    )
+
+
+class TestDocumentRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(history=histories())
+    def test_history_columns_and_text_come_back(self, history):
+        text = json.dumps(history_to_dict(history))
+        back = history_from_dict(json.loads(text))
+        assert back.proposal_sourced == history.proposal_sourced
+        for column in dataclasses.fields(ChainHistory)[1:]:
+            ours, theirs = getattr(history, column.name), getattr(back, column.name)
+            assert theirs.dtype == ours.dtype and np.array_equal(theirs, ours), column.name
+        assert json.dumps(history_to_dict(back)) == text
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        columns=st.integers(1, 7).flatmap(lambda dim: proposal_columns(dim, st.integers(1, 5))),
+        sigma=st.floats(0.0, 1.0) | st.just(float("nan")),
+    )
+    def test_sketch_columns_and_text_come_back(self, columns, sigma):
+        sketch = RoughSketch(*columns, "plate", sigma, 50.0)
+        text = sketch_to_document(sketch)
+        back = sketch_from_document(text)
+        read_back = (back.proposals, back.densities, back.accepted, back.outcomes)
+        for ours, theirs in zip(columns, read_back):
+            assert theirs.dtype == ours.dtype and np.array_equal(theirs, ours)
+        assert sketch_to_document(back) == text
