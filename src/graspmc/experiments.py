@@ -42,7 +42,7 @@ from .learning import (
     tally_outcomes,
     transfer_learn,
 )
-from .objects import get_object
+from .objects import OBJECT_NAMES, get_object
 from .serialization import model_from_document
 
 RESULT_SCHEMA = "graspmc.result/1"
@@ -61,7 +61,10 @@ EXPERIMENTS = (
     TRANSFER_ACTUAL_MODES,
 )
 TRANSFER_EXPERIMENTS = (TRANSFER_SIMILAR_MODES, TRANSFER_ACTUAL_MODES)
-DEMONSTRATION_CACHE_SIZE = 64  # (object, seed, count, gripper, evaluation) searches kept
+# (object, seed, count, gripper, evaluation) searches kept: only the last. The
+# presets of one seed on one object run one after another and share it; a
+# longer-lived cache would make a repeated sweep cheaper than its first pass.
+DEMONSTRATION_CACHE_SIZE = 1
 # ExperimentConfig's annotations, which are strings under `from __future__ import annotations`
 _FIELD_KINDS = {
     "str": str, "int": Integral, "float": Real, "bool": bool, "str | None": (str, type(None))
@@ -104,6 +107,8 @@ class ExperimentConfig:
                 raise InvalidConfig(f"{f.name} must be finite, not {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise InvalidConfig(f"unknown experiment {self.experiment!r}")
+        if self.object_name not in OBJECT_NAMES:
+            raise InvalidConfig(f"unknown object {self.object_name!r}")
         for name, low in _FIELD_MINIMA.items():
             if getattr(self, name) < low:
                 raise InvalidConfig(f"{name} must be at least {low}, not {getattr(self, name)!r}")
@@ -203,7 +208,8 @@ def _demonstrations(
     eval_config: EvaluationConfig,
 ) -> tuple[Grasp, ...]:
     """The demonstrations of every run with this object and seed, searched
-    once per process and handed out with read-only arrays.
+    once for consecutive runs that share them and handed out with read-only
+    arrays.
 
     The search draws only from the seed's own "demonstrations" generator,
     so reusing its grasps cannot change a run. A DemonstrationFailure is not

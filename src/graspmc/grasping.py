@@ -115,35 +115,39 @@ def _bisect(
     the half whose end is inside, on every line, but with one distance call
     per BISECTION_LEVELS steps: the call evaluates every midpoint the
     bisections could visit, built by the same recurrence, and the steps are
-    then replayed on the midpoints' signs.
+    then replayed on the midpoints' signs, in Python floats.
     """
-    lo, hi = lo.copy(), hi.copy()
-    while np.any(hi - lo > tol):
-        lines = np.nonzero(hi - lo > tol)[0]
-        level_lo, level_hi = lo[lines, None], hi[lines, None]
+    lo, hi = lo.tolist(), hi.tolist()
+    while lines := [i for i in range(len(lo)) if hi[i] - lo[i] > tol]:
+        # every bracket end and midpoint of a line in order along it: the
+        # brackets of level l are consecutive runs of 2**(BISECTION_LEVELS - l)
+        cuts = np.empty((len(lines), 2**BISECTION_LEVELS + 1))
+        cuts[:, 0], cuts[:, -1] = [lo[i] for i in lines], [hi[i] for i in lines]
         mids = []
-        while len(mids) < BISECTION_LEVELS and np.any(level_hi - level_lo > tol):
-            mid = 0.5 * (level_lo + level_hi)
-            mids.append(mid)
-            # children of node j at the next level: 2j = (lo, mid), 2j + 1 = (mid, hi)
-            level_lo = np.stack([level_lo, mid], axis=-1).reshape(len(lines), -1)
-            level_hi = np.stack([mid, level_hi], axis=-1).reshape(len(lines), -1)
+        while len(mids) < BISECTION_LEVELS:
+            run = 2 ** (BISECTION_LEVELS - len(mids))
+            lower, upper = cuts[:, :-1:run], cuts[:, run::run]
+            if not (upper - lower > tol).any():
+                break
+            mids.append(0.5 * (lower + upper))
+            cuts[:, run // 2::run] = mids[-1]
+        # node j of level l is column 2**l - 1 + j; its children are 2j and 2j + 1
         ts = np.concatenate(mids, axis=1)
         points = starts[lines, None, :] + ts[:, :, None] * directions[lines, None, :]
-        inside = obj.distance(points.reshape(-1, 3)).reshape(ts.shape) <= 0.0
+        inside = (obj.distance(points.reshape(-1, 3)) <= 0.0).reshape(ts.shape)
         for row, line in enumerate(lines):
             node = 0
             for level in range(len(mids)):
                 if not hi[line] - lo[line] > tol:
                     break
                 index = 2**level - 1 + node
-                if inside[row, index]:
-                    hi[line] = ts[row, index]
+                if inside.item(row, index):
+                    hi[line] = ts.item(row, index)
                     node = 2 * node
                 else:
-                    lo[line] = ts[row, index]
+                    lo[line] = ts.item(row, index)
                     node = 2 * node + 1
-    return starts + (0.5 * (lo + hi))[:, None] * directions
+    return starts + (0.5 * (np.array(lo) + np.array(hi)))[:, None] * directions
 
 
 def _jaw_contacts(

@@ -130,26 +130,31 @@ def _pitcher_like(name, outer_r, wall, height, handle_major, handle_tube, handle
     )
 
 
+# the function that builds each catalog object, and its dimensions, in catalog order
+_CATALOG = {
+    "pitcher": (_pitcher_like, (0.045, 0.008, 0.14, 0.035, 0.009, 0.080)),
+    "tall_pitcher": (_pitcher_like, (0.040, 0.008, 0.21, 0.035, 0.009, 0.130)),
+    "stout_pitcher": (_pitcher_like, (0.058, 0.009, 0.10, 0.030, 0.009, 0.055)),
+    "pan": (_pan_like, (0.085, 0.012, 0.050, 0.012, 0.050, 0.011, 0.006)),
+    "small_pan": (_pan_like, (0.070, 0.011, 0.042, 0.011, 0.042, 0.010, 0.005)),
+    "deep_pan": (_pan_like, (0.085, 0.012, 0.075, 0.012, 0.050, 0.011, 0.006)),
+    "plate": (_plate_like, (0.050, 0.020, 0.100, 0.050, 0.010, 0.030)),
+    "soup_plate": (_plate_like, (0.045, 0.018, 0.095, 0.045, 0.017, 0.037)),
+    "saucer": (_plate_like, (0.030, 0.012, 0.070, 0.030, 0.008, 0.022)),
+}
+OBJECT_NAMES = tuple(_CATALOG)
+
+
 def object_catalog() -> list[ObjectModel]:
     """Nine parametric objects: three learnable bases plus six variants."""
-    return [
-        _pitcher_like("pitcher", 0.045, 0.008, 0.14, 0.035, 0.009, 0.080),
-        _pitcher_like("tall_pitcher", 0.040, 0.008, 0.21, 0.035, 0.009, 0.130),
-        _pitcher_like("stout_pitcher", 0.058, 0.009, 0.10, 0.030, 0.009, 0.055),
-        _pan_like("pan", 0.085, 0.012, 0.050, 0.012, 0.050, 0.011, 0.006),
-        _pan_like("small_pan", 0.070, 0.011, 0.042, 0.011, 0.042, 0.010, 0.005),
-        _pan_like("deep_pan", 0.085, 0.012, 0.075, 0.012, 0.050, 0.011, 0.006),
-        _plate_like("plate", 0.050, 0.020, 0.100, 0.050, 0.010, 0.030),
-        _plate_like("soup_plate", 0.045, 0.018, 0.095, 0.045, 0.017, 0.037),
-        _plate_like("saucer", 0.030, 0.012, 0.070, 0.030, 0.008, 0.022),
-    ]
+    return [get_object(name) for name in OBJECT_NAMES]
 
 
 def get_object(name: str) -> ObjectModel:
-    for obj in object_catalog():
-        if obj.name == name:
-            return obj
-    raise KeyError(f"unknown object {name!r}")
+    if name not in _CATALOG:
+        raise KeyError(f"unknown object {name!r}")
+    build, dimensions = _CATALOG[name]
+    return build(name, *dimensions)
 
 
 def catalog_to_document(objects: list[ObjectModel] | None = None) -> str:

@@ -76,6 +76,7 @@ class TestConfig:
             {"demonstration_count": 0},
             {"kappa": -1.0},
             {"experiment": "warp-drive"},
+            {"object_name": "plat"},
             {"seed": None},
         ],
         ids=repr,
@@ -90,6 +91,11 @@ class TestConfig:
         with pytest.raises(InvalidConfig) as caught:
             run_experiment(ExperimentConfig.from_dict(doc))
         assert isinstance(caught.value, GraspMCError) and isinstance(caught.value, ValueError)
+
+    def test_unknown_object_rejected_by_from_dict(self):
+        doc = {"experiment": ACTIVE_RANDOM_INIT, "object_name": "plat", "seed": 0}
+        with pytest.raises(InvalidConfig, match="unknown object 'plat'"):
+            ExperimentConfig.from_dict(doc)
 
     def test_integers_accepted_for_real_fields(self):
         doc = {"experiment": ACTIVE_RANDOM_INIT, "object_name": "plate", "seed": 0, "gamma": 1}
@@ -376,8 +382,8 @@ class TestCli:
 
 
 class TestDemonstrationMemo:
-    """run_experiment searches for demonstrations once per (object, seed,
-    count, gripper, evaluation config) in a process."""
+    """Consecutive runs with one (object, seed, count, gripper, evaluation
+    config) share one demonstration search; only the last search is kept."""
 
     @pytest.fixture
     def searches(self, monkeypatch):
@@ -416,9 +422,16 @@ class TestDemonstrationMemo:
             ("plate", 4, 1, wider, DEFAULT_EVALUATION),
             ("plate", 4, 1, gripper, grippier),
         ]
-        for key in keys + keys:
-            experiments._demonstrations(*key)
-        assert len(searches) == len(keys)
+        for done, key in enumerate(keys, start=1):
+            for _ in range(2):
+                experiments._demonstrations(*key)
+            assert len(searches) == done
+
+    def test_only_the_last_search_is_kept(self, searches):
+        gripper = default_gripper()
+        for seed in (4, 5, 4):
+            experiments._demonstrations("plate", seed, 1, gripper, DEFAULT_EVALUATION)
+        assert len(searches) == 3
 
     def test_failure_is_raised_on_every_call(self, monkeypatch, searches):
         def failing(obj, *args, **kwargs):
