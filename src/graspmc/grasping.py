@@ -12,6 +12,7 @@ zero on failure, smooth near good grasps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .errors import DemonstrationFailure
 from .gripper import APPROACH_AXIS, CLOSING_AXIS, GripperModel, probe_points
 from .objects import ObjectModel
 from .targets import TargetFn, TargetValue
-from .vmf import VonMisesFisher, sample_vmf
+from .vmf import VonMisesFisher, draw_vmf, orient_vmf
 
 SUCCESS = "success"
 SLIPPED = "slipped"
@@ -202,13 +203,23 @@ def evaluate_grasp(
     probes = probe_points(gripper, config.probe_pitch) @ rotation.T + grasp.position
     if float(np.min(obj.distance(probes))) < -config.collision_tolerance:
         return GraspOutcome(COLLISION, 0.0)
+    return _grip(grasp.position, rotation, obj, gripper, config)
 
+
+def _grip(
+    position: np.ndarray,
+    rotation: np.ndarray,
+    obj: ObjectModel,
+    gripper: GripperModel,
+    config: EvaluationConfig,
+) -> GraspOutcome:
+    """Stages 3-5 of evaluate_grasp, for a pose whose body does not collide."""
     closing = rotation @ CLOSING_AXIS
     half_span = 0.5 * gripper.jaw_span
     sides = np.array([[1.0], [-1.0]])
     contacts = _jaw_contacts(
         obj,
-        grasp.position + sides * half_span * closing,
+        position + sides * half_span * closing,
         -sides * closing,
         gripper.jaw_span,
         config.contact_tolerance,
@@ -230,19 +241,34 @@ def evaluate_grasp(
     return GraspOutcome(SUCCESS, float(quality))
 
 
+TARGET_MEMO_SIZE = 256  # most recent states whose values a target remembers
+
+
 def make_target(
     obj: ObjectModel,
     gripper: GripperModel,
     config: EvaluationConfig = DEFAULT_EVALUATION,
 ) -> TargetFn:
-    """Unnormalized grasp density: the quality proxy, zero on any failure."""
+    """Unnormalized grasp density: the quality proxy, zero on any failure.
+
+    The target remembers the values of the last TARGET_MEMO_SIZE finite
+    states it evaluated, keyed by their shape and bytes, and gives a
+    repeated state its stored value without evaluating it again. A chain's
+    darting jumps propose the same mode states over and over.
+    evaluate_grasp is deterministic, so the stored value is the value.
+    """
+
+    @lru_cache(maxsize=TARGET_MEMO_SIZE)
+    def evaluate(shape: tuple[int, ...], data: bytes) -> TargetValue:
+        state = np.frombuffer(data).reshape(shape)
+        outcome = evaluate_grasp(Grasp.from_vector(state), obj, gripper, config)
+        return TargetValue(outcome.quality, outcome.kind)
 
     def density(state: np.ndarray) -> TargetValue:
         state = np.asarray(state, dtype=float)
         if not np.all(np.isfinite(state)):
             return TargetValue(0.0, MISS)
-        outcome = evaluate_grasp(Grasp.from_vector(state), obj, gripper, config)
-        return TargetValue(outcome.quality, outcome.kind)
+        return evaluate(state.shape, state.tobytes())
 
     return density
 
@@ -261,15 +287,14 @@ def _frame_orientation(closing: np.ndarray, approach: np.ndarray) -> np.ndarray:
 
 
 def _heuristic_orientation(
-    point: np.ndarray, normal: np.ndarray, obj: ObjectModel, rng: np.random.Generator
+    point: np.ndarray, normal: np.ndarray, obj: ObjectModel, roll: float
 ) -> np.ndarray:
-    """Closing axis along the surface normal, approach rolled about it."""
+    """Closing axis along the surface normal, approach rolled by `roll` about it."""
     closing = normal / np.linalg.norm(normal)
     inward = obj.bounds_center() - point
     inward -= closing * float(inward @ closing)
     norm = float(np.linalg.norm(inward))
     approach = inward / norm if norm > 1e-9 else _orthonormal_to(closing)
-    roll = rng.uniform(-np.pi, np.pi)
     tangent = np.cross(closing, approach)
     approach = np.cos(roll) * approach + np.sin(roll) * tangent
     return _frame_orientation(closing, approach)
@@ -299,6 +324,80 @@ def sample_surface_point(
             return points[int(hits[0])]
 
 
+COARSE_STRIDE = 20  # a collision screen first probes every 20th lattice point
+
+
+def _collides(obj: ObjectModel, probes: np.ndarray, tolerance: float) -> np.ndarray:
+    """evaluate_grasp's collision verdict, min < -tolerance, for each pose
+    whose probe points are one row of the (poses, points, 3) `probes`.
+
+    One distance call on every COARSE_STRIDE-th probe of every pose decides
+    the poses it finds penetrating. One more call on the other probes of the
+    rest completes their minimum. A point's distance does not depend on the
+    batch it is evaluated in, so each verdict is evaluate_grasp's.
+    """
+    coarse = obj.distance(probes[:, ::COARSE_STRIDE]).min(axis=1)
+    hit = coarse < -tolerance
+    undecided = np.flatnonzero(~hit)
+    if undecided.size:
+        rest = np.ones(probes.shape[1], dtype=bool)
+        rest[::COARSE_STRIDE] = False
+        fine = obj.distance(probes[np.ix_(undecided, rest)]).min(axis=1)
+        hit[undecided] = np.minimum(coarse[undecided], fine) < -tolerance
+    return hit
+
+
+def _climb(
+    obj: ObjectModel,
+    gripper: GripperModel,
+    config: EvaluationConfig,
+    point: np.ndarray,
+    normal: np.ndarray,
+    position: np.ndarray,
+    draws: list,
+    restart_every: int,
+    kappa: float,
+) -> tuple[np.ndarray, float]:
+    """Keep-best orientation search at one position: (best orientation,
+    best quality) over one trial per entry of `draws`.
+
+    Trial t is a restart, the heuristic frame at the surface point rolled by
+    `draws[t]`, when t is a multiple of restart_every, and otherwise the vMF
+    perturbation of the incumbent that the draw `draws[t]` orients. The
+    result is that of evaluating the trials one by one with evaluate_grasp:
+    the trials up to the next restart are built from the current incumbent
+    and screened for collision together, then walked in order, and the
+    batch is rebuilt after the first one that improves.
+    """
+    lattice = probe_points(gripper, config.probe_pitch)
+    best_q: np.ndarray | None = None
+    best_quality = -1.0
+    trial = 0
+    while trial < len(draws):
+        if best_q is None:
+            end, mean = trial + 1, None
+        else:
+            end = min(len(draws), (trial // restart_every + 1) * restart_every)
+            mean = VonMisesFisher(best_q, kappa)
+        candidates = [
+            _heuristic_orientation(point, normal, obj, draws[t])
+            if t % restart_every == 0
+            else quat.canonicalize(orient_vmf(mean, draws[t]))
+            for t in range(trial, end)
+        ]
+        grasps = [Grasp(position, candidate) for candidate in candidates]
+        rotations = [quat.rotation_matrix(grasp.orientation) for grasp in grasps]
+        probes = np.stack([lattice @ r.T + g.position for g, r in zip(grasps, rotations)])
+        collided = _collides(obj, probes, config.collision_tolerance)
+        for candidate, grasp, rotation, hit in zip(candidates, grasps, rotations, collided):
+            trial += 1
+            quality = 0.0 if hit else _grip(grasp.position, rotation, obj, gripper, config).quality
+            if quality > best_quality:
+                best_q, best_quality = candidate, quality
+                break
+    return best_q, best_quality
+
+
 def demonstrate_grasps(
     obj: ObjectModel,
     gripper: GripperModel,
@@ -320,10 +419,29 @@ def demonstrate_grasps(
     normal-aligned heuristic frame (random roll) every `restart_every`
     trials, vMF perturbations of the incumbent in between. Attempts whose
     best outcome is not a Success are discarded. Raises
-    DemonstrationFailure when max_attempts run out first.
+    DemonstrationFailure when max_attempts run out first, and ValueError
+    on an invalid argument before drawing anything.
+
+    An attempt makes every trial's random draws first, in trial order (a
+    restart's roll, a perturbation's `draw_vmf`), since none depends on an
+    outcome. It then screens the trials for collision in batches, coarse
+    probes first (see `_climb`), and takes the rest of the cascade only for
+    the trials that do not collide. The grasps, qualities and generator
+    state are those of evaluating each trial in turn with evaluate_grasp.
+    A position outside the workspace makes every trial a Miss and calls no
+    SDF.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    for name, value in (
+        ("count", count),
+        ("max_attempts", max_attempts),
+        ("trials_per_point", trials_per_point),
+        ("restart_every", restart_every),
+    ):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
+    if not np.isfinite(perturbation_kappa) or perturbation_kappa < 0.0:
+        raise ValueError("perturbation_kappa must be a finite nonnegative real")
+    lo, hi = workspace_bounds(obj, gripper, config)
     found: list[tuple[Grasp, float]] = []
     attempts = 0
     while len(found) < count:
@@ -339,20 +457,24 @@ def demonstrate_grasps(
             position = point - 0.5 * thickness * normal
         else:
             position = point + 1e-3 * normal
-        best_q: np.ndarray | None = None
-        best_quality = -1.0
-        incumbent: np.ndarray | None = None
-        for trial in range(trials_per_point):
-            if trial % restart_every == 0 or incumbent is None:
-                candidate = _heuristic_orientation(point, normal, obj, rng)
-            else:
-                candidate = quat.canonicalize(
-                    sample_vmf(VonMisesFisher(incumbent, perturbation_kappa), rng)
-                )
-            outcome = evaluate_grasp(Grasp(position, candidate), obj, gripper, config)
-            if outcome.quality > best_quality:
-                best_quality, best_q = outcome.quality, candidate
-                incumbent = candidate
-        if best_q is not None and best_quality > 0.0:
+        draws = [
+            rng.uniform(-np.pi, np.pi) if trial % restart_every == 0
+            else draw_vmf(perturbation_kappa, 4, rng)
+            for trial in range(trials_per_point)
+        ]
+        if np.any(position < lo) or np.any(position > hi):
+            continue
+        best_q, best_quality = _climb(
+            obj,
+            gripper,
+            config,
+            point,
+            normal,
+            position,
+            draws,
+            restart_every,
+            perturbation_kappa,
+        )
+        if best_quality > 0.0:
             found.append((Grasp(position, best_q), best_quality))
     return found

@@ -9,7 +9,9 @@ through text documents.
 A union, difference or intersection evaluates through a plan of its
 subtree, built on first use. Primitives of one type whose only transform
 is one translation run as one broadcast pass with a column per parameter;
-other leaves run through their own transform chain; the CSG combine then
+a parameter or offset that all of them share bit for bit is one entry, so
+the pass computes, say, the radial distance of all z-axis cylinders once.
+Other leaves run through their own transform chain; the CSG combine then
 follows tree order. A translation or rotation moves its whole input once
 and hands it to its child's `distance`. The plan applies each node's
 floating-point operations in the node's own order, so its distances equal
@@ -284,8 +286,8 @@ class _Plan:
         self.groups = []  # (formula, slots, offset columns, parameter columns)
         for kind, members in groups.items():
             slots, offsets, params = zip(*members)
-            columns = [np.array(column)[:, None] for column in zip(*params)]
-            self.groups.append((kind.formula, slots, np.array(offsets).T[:, :, None], columns))
+            columns = [_column(column) for column in (*zip(*offsets), *zip(*params))]
+            self.groups.append((kind.formula, slots, columns[:3], columns[3:]))
 
     def _slot(self) -> int:
         self.size += 1
@@ -328,7 +330,10 @@ class _Plan:
         values = [None] * self.size
         x, y, z = p[:, 0], p[:, 1], p[:, 2]
         for formula, slots, (ox, oy, oz), params in self.groups:
-            for slot, row in zip(slots, formula(x - ox, y - oy, z - oz, *params)):
+            rows = formula(x - ox, y - oy, z - oz, *params)
+            if len(rows) < len(slots):  # every column shared: one row serves all
+                rows = np.broadcast_to(rows, (len(slots), len(p)))
+            for slot, row in zip(slots, rows):
                 values[slot] = row
         for slot, chain, node in self.singles:
             q = p
@@ -338,6 +343,16 @@ class _Plan:
         for function, a, b, out in self.steps:
             values[out] = function(values[a], values[b])
         return values[self.result]
+
+
+def _column(values) -> np.ndarray:
+    """A group's values of one offset or parameter as a (leaves, 1) column,
+    or as one (1, 1) entry when they are all bitwise equal, so the formula
+    computes what depends only on shared columns once for the whole group."""
+    column = np.array(values, dtype=float)[:, None]
+    if np.all(column.view(np.uint64) == column.view(np.uint64)[0]):
+        return column[:1]
+    return column
 
 
 def from_dict(doc: dict) -> Sdf:

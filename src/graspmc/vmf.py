@@ -4,7 +4,9 @@ Rejection sampling after Wood (1994), "Simulation of the von Mises Fisher
 distribution": draw the radial component w along the mean direction from
 the marginal ~ exp(kappa*w) (1-w^2)^((p-3)/2) via a beta envelope, pair it
 with a uniform tangent direction, and rotate the canonical frame onto the
-mean. The normalization constant C_p(kappa) never appears.
+mean. The normalization constant C_p(kappa) never appears. The draws do
+not look at the mean, so `draw_vmf` can make them before the mean is
+known and `orient_vmf` apply it later.
 """
 
 from __future__ import annotations
@@ -56,25 +58,44 @@ def _radial_component(kappa: float, p: int, rng: np.random.Generator) -> float:
             return float(w)
 
 
-def sample_vmf(dist: VonMisesFisher, rng: np.random.Generator) -> np.ndarray:
-    """One unit vector with density proportional to exp(kappa mu^T x)."""
-    p = dist.dim
-    if dist.kappa == 0.0:
+def draw_vmf(kappa: float, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The random part of one vMF sample, which does not depend on the mean.
+
+    For kappa = 0 this is the sample itself, a uniform unit vector.
+    Otherwise it is the sample in the frame whose first axis is the mean:
+    (w, sqrt(1 - w^2) * tangent). `orient_vmf` turns it into the sample.
+    """
+    if dim not in _SUPPORTED_DIMS:
+        raise ValueError(f"dimension must be 3 or 4, got {dim}")
+    if not np.isfinite(kappa) or kappa < 0.0:
+        raise ValueError("kappa must be a finite nonnegative real")
+    if kappa == 0.0:
         while True:
-            raw = rng.standard_normal(p)
+            raw = rng.standard_normal(dim)
             norm = np.linalg.norm(raw)
             if norm > 1e-12:
                 return raw / norm
-    w = _radial_component(dist.kappa, p, rng)
+    w = _radial_component(kappa, dim, rng)
     while True:
-        tangent = rng.standard_normal(p - 1)
+        tangent = rng.standard_normal(dim - 1)
         norm = np.linalg.norm(tangent)
         if norm > 1e-12:
             tangent /= norm
             break
-    canonical = np.concatenate(([w], np.sqrt(max(0.0, 1.0 - w * w)) * tangent))
-    sample = _rotate_from_e1(dist.mean_direction, canonical)
+    return np.concatenate(([w], np.sqrt(max(0.0, 1.0 - w * w)) * tangent))
+
+
+def orient_vmf(dist: VonMisesFisher, drawn: np.ndarray) -> np.ndarray:
+    """The sample of `dist` whose random part `draw_vmf` drew; uses no rng."""
+    if dist.kappa == 0.0:
+        return drawn
+    sample = _rotate_from_e1(dist.mean_direction, drawn)
     return sample / np.linalg.norm(sample)
+
+
+def sample_vmf(dist: VonMisesFisher, rng: np.random.Generator) -> np.ndarray:
+    """One unit vector with density proportional to exp(kappa mu^T x)."""
+    return orient_vmf(dist, draw_vmf(dist.kappa, dist.dim, rng))
 
 
 def _rotate_from_e1(mu: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from graspmc import grasping
 from graspmc import quaternions as quat
 from graspmc import sdf
 from graspmc.errors import DemonstrationFailure
@@ -14,6 +15,8 @@ from graspmc.grasping import (
     OUTCOME_KINDS,
     SLIPPED,
     SUCCESS,
+    TARGET_MEMO_SIZE,
+    EvaluationConfig,
     Grasp,
     GraspOutcome,
     canonicalize_grasp_vector,
@@ -21,12 +24,15 @@ from graspmc.grasping import (
     evaluate_grasp,
     make_target,
     sample_surface_point,
+    _heuristic_orientation,
     _jaw_contacts,
     _material_thickness,
     workspace_bounds,
 )
 from graspmc.gripper import default_gripper, probe_points
 from graspmc.objects import ObjectModel, get_object, object_catalog
+from graspmc.targets import TargetValue
+from graspmc.vmf import VonMisesFisher, sample_vmf
 
 GRIPPER = default_gripper()
 
@@ -406,3 +412,211 @@ def test_success_makes_four_sdf_calls():
     outcome = evaluate_grasp(rim_pinch_grasp(), plate, GRIPPER)
     assert outcome.kind == SUCCESS
     assert plate.shape.calls == 4
+
+
+
+# --------------------------------------------------------------------------
+# the batched demonstration search against one evaluate_grasp call per trial
+
+
+def reference_search(
+    obj,
+    gripper,
+    count,
+    rng,
+    config=DEFAULT_EVALUATION,
+    *,
+    max_attempts=10_000,
+    trials_per_point=200,
+    restart_every=25,
+    perturbation_kappa=150.0,
+):
+    """demonstrate_grasps as a sequential hill climb: each trial draws its
+    random numbers and is evaluated by evaluate_grasp before the next."""
+    found = []
+    attempts = 0
+    while len(found) < count:
+        if attempts >= max_attempts:
+            raise DemonstrationFailure(
+                f"{attempts} attempts produced {len(found)}/{count} demonstrations"
+            )
+        attempts += 1
+        point = sample_surface_point(obj, rng)
+        normal = obj.normal(point[None, :])[0]
+        thickness = _material_thickness(obj, point, normal, gripper.jaw_span)
+        if thickness is not None and thickness < gripper.jaw_span:
+            position = point - 0.5 * thickness * normal
+        else:
+            position = point + 1e-3 * normal
+        best_q = None
+        best_quality = -1.0
+        incumbent = None
+        for trial in range(trials_per_point):
+            if trial % restart_every == 0 or incumbent is None:
+                roll = rng.uniform(-np.pi, np.pi)
+                candidate = _heuristic_orientation(point, normal, obj, roll)
+            else:
+                candidate = quat.canonicalize(
+                    sample_vmf(VonMisesFisher(incumbent, perturbation_kappa), rng)
+                )
+            outcome = evaluate_grasp(Grasp(position, candidate), obj, gripper, config)
+            if outcome.quality > best_quality:
+                best_quality, best_q = outcome.quality, candidate
+                incumbent = candidate
+        if best_q is not None and best_quality > 0.0:
+            found.append((Grasp(position, best_q), best_quality))
+    return found
+
+
+def search_result(search, obj, count, config=DEFAULT_EVALUATION, *, seed, **kwargs):
+    """(found or the failure's message, the generator's state after)."""
+    rng = np.random.default_rng(seed)
+    try:
+        found = search(obj, GRIPPER, count, rng, config, **kwargs)
+        result = [(g.to_vector().tobytes(), q) for g, q in found]
+    except DemonstrationFailure as failure:
+        result = str(failure)
+    return result, rng.bit_generator.state
+
+
+# a workspace box equal to the object's bounds, so positions a millimetre
+# off a bounding face are culled
+TIGHT = EvaluationConfig(workspace_margin_factor=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(CATALOG[:7:3] + MOVED[:7:3] + [sphere_object(0.02)]),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2),
+    st.integers(1, 8),
+    st.integers(1, 120),
+    st.sampled_from([1, 3, 25, 1000]),
+    st.sampled_from([0.0, 150.0]),
+    st.sampled_from([DEFAULT_EVALUATION, TIGHT]),
+)
+def test_batched_search_matches_sequential_search(
+    obj, seed, count, attempts, trials, restart_every, kappa, config
+):
+    kwargs = dict(
+        seed=seed,
+        max_attempts=attempts,
+        trials_per_point=trials,
+        restart_every=restart_every,
+        perturbation_kappa=kappa,
+    )
+    expected = search_result(reference_search, obj, count, config, **kwargs)
+    event("found" if isinstance(expected[0], list) else "failed")
+    assert search_result(demonstrate_grasps, obj, count, config, **kwargs) == expected
+
+
+def test_batched_search_matches_sequential_search_at_defaults():
+    for name in ("pitcher", "plate"):
+        expected = search_result(reference_search, get_object(name), 2, seed=3)
+        assert search_result(demonstrate_grasps, get_object(name), 2, seed=3) == expected
+
+
+def test_culled_position_draws_every_trial_and_calls_no_sdf(monkeypatch):
+    """On a wide box every position sits a millimetre outside a face, so the
+    tight workspace culls every attempt."""
+    side = 10.0 * GRIPPER.jaw_span
+    box = ObjectModel("slab", sdf.Box([side] * 3), -side * np.ones(3), side * np.ones(3))
+    kwargs = dict(seed=4, max_attempts=3, trials_per_point=30)
+    expected = search_result(reference_search, box, 1, TIGHT, **kwargs)
+    assert expected[0] == "3 attempts produced 0/1 demonstrations"
+
+    def never(*args):
+        raise AssertionError("a culled attempt screened or gripped a pose")
+
+    monkeypatch.setattr(grasping, "_collides", never)
+    monkeypatch.setattr(grasping, "_grip", never)
+    assert search_result(demonstrate_grasps, box, 1, TIGHT, **kwargs) == expected
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"count": 0},
+        {"max_attempts": 0},
+        {"trials_per_point": 0},
+        {"restart_every": 0},
+        {"perturbation_kappa": -1.0},
+        {"perturbation_kappa": np.nan},
+        {"perturbation_kappa": np.inf},
+    ],
+)
+def test_search_arguments_are_checked_before_any_draw(bad):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    kwargs = {"count": 1, **bad}
+    with pytest.raises(ValueError):
+        demonstrate_grasps(get_object("plate"), GRIPPER, kwargs.pop("count"), rng, **kwargs)
+    assert rng.bit_generator.state == before
+
+
+# --------------------------------------------------------------------------
+# the target's memo
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The states evaluate_grasp is called on, as 7-vectors."""
+    calls = []
+    evaluate = grasping.evaluate_grasp
+
+    def counted(grasp, *args, **kwargs):
+        calls.append(grasp.to_vector())
+        return evaluate(grasp, *args, **kwargs)
+
+    monkeypatch.setattr(grasping, "evaluate_grasp", counted)
+    return calls
+
+
+def culled_state(i):
+    """A distinct state far outside plate's workspace: a cheap Miss."""
+    return np.array([10.0 + i, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+
+
+class TestTargetMemo:
+    def test_repeated_state_is_evaluated_once(self, evaluations):
+        plate = get_object("plate")
+        target = make_target(plate, GRIPPER)
+        state = rim_pinch_grasp().to_vector()
+        first = target(state)
+        assert target(state.copy()) == first
+        assert target(list(state)) == first
+        assert len(evaluations) == 1
+        outcome = evaluate_grasp(rim_pinch_grasp(), plate, GRIPPER)
+        assert first == TargetValue(outcome.quality, outcome.kind)
+
+    def test_nonfinite_state_is_a_miss_without_evaluation(self, evaluations):
+        target = make_target(get_object("plate"), GRIPPER)
+        for bad in ([np.nan, 0, 0, 1, 0, 0, 0], [0, 0, 0, np.inf, 0, 0, 0]):
+            assert target(np.array(bad)) == TargetValue(0.0, MISS)
+            assert target(np.array(bad)) == TargetValue(0.0, MISS)
+        assert evaluations == []
+
+    def test_targets_share_no_entries(self, evaluations):
+        plate = get_object("plate")
+        state = rim_pinch_grasp().to_vector()
+        assert make_target(plate, GRIPPER)(state) == make_target(plate, GRIPPER)(state)
+        assert len(evaluations) == 2
+
+    def test_memo_keeps_the_most_recent_states(self, evaluations):
+        target = make_target(get_object("plate"), GRIPPER)
+        for i in range(TARGET_MEMO_SIZE + 1):
+            assert target(culled_state(i)) == TargetValue(0.0, MISS)
+            target(culled_state(TARGET_MEMO_SIZE))  # the newest state, kept throughout
+        assert len(evaluations) == TARGET_MEMO_SIZE + 1
+        for i in range(1, TARGET_MEMO_SIZE + 1):
+            target(culled_state(i))
+        assert len(evaluations) == TARGET_MEMO_SIZE + 1
+        target(culled_state(0))  # pushed out by the bound
+        assert len(evaluations) == TARGET_MEMO_SIZE + 2
+
+    def test_a_remembered_state_in_the_wrong_shape_still_raises(self):
+        target = make_target(get_object("plate"), GRIPPER)
+        state = rim_pinch_grasp().to_vector()
+        target(state)
+        with pytest.raises(ValueError):
+            target(state[None, :])

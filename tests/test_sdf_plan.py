@@ -182,3 +182,65 @@ def test_catalog_names_match_the_catalog_order():
     assert OBJECT_NAMES == tuple(obj.name for obj in CATALOG)
     for name in OBJECT_NAMES:
         assert get_object(name).to_dict() == CATALOG[OBJECT_NAMES.index(name)].to_dict()
+
+
+# offsets and parameters from small sets, so a group often shares a column
+# bit for bit (0.0 and -0.0 are not the same bits)
+shared_values = st.sampled_from([0.0, -0.0, 0.05, 0.12])
+shared_lengths = st.sampled_from([0.03, 0.08])
+shared_primitives = st.one_of(
+    st.builds(sdf.Sphere, shared_lengths),
+    st.builds(sdf.Box, st.tuples(shared_lengths, shared_lengths, shared_lengths)),
+    st.builds(sdf.Cylinder, shared_lengths, shared_lengths),
+    st.builds(sdf.CappedTorus, shared_lengths, st.just(0.01), st.sampled_from([0.5, 2.2])),
+)
+shared_leaves = st.builds(sdf.Translate, shared_primitives, st.tuples(*[shared_values] * 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(shared_leaves, min_size=1, max_size=6),
+    st.sampled_from([sdf.Union, sdf.Intersection]),
+    point_shapes,
+    st.integers(0, 2**32 - 1),
+)
+def test_groups_with_shared_columns_match_reference_walk(leaves, combine, points_shape, seed):
+    shape = combine(leaves)
+    points = np.random.default_rng(seed).uniform(-0.3, 0.3, points_shape)
+    # an exact zero and a negative zero, where x - 0.0 and x - (-0.0) differ
+    points.reshape(-1, 3)[0] = [-0.0, 0.0, -0.0]
+    points.reshape(-1, 3)[-1] = [0.0, -0.0, 0.05]
+    assert same_bits(shape.distance(points), reference_distance(shape, points))
+
+
+@pytest.mark.parametrize(
+    "leaves",
+    [
+        [sdf.Cylinder(0.05, 0.02).translate([0.0, 0.0, 0.01])] * 3,
+        [sdf.Sphere(0.04).translate([0.02, -0.01, 0.0]) for _ in range(2)],
+        [sdf.Box([0.03, 0.02, 0.01]).translate([zero, 0.0, 0.0]) for zero in (0.0, -0.0)],
+    ],
+    ids=["three-equal-cylinders", "two-equal-spheres", "boxes-at-zero-and-negative-zero"],
+)
+def test_group_of_equal_leaves_gives_every_slot_a_row(leaves):
+    points = np.random.default_rng(6).uniform(-0.1, 0.1, size=(1500, 3))
+    points[:2] = [[-0.0, 0.0, 0.0], [0.0, -0.0, -0.0]]
+    for combine in (sdf.Union, sdf.Intersection):
+        shape = combine(leaves).subtract(sdf.Sphere(0.01))
+        assert same_bits(shape.distance(points), reference_distance(shape, points))
+
+
+def test_z_axis_cylinders_share_one_hypot(monkeypatch):
+    plate = get_object("plate")
+    points = np.random.default_rng(8).uniform(-0.1, 0.1, size=(300, 3))
+    expected = reference_distance(plate.shape, points)
+    calls = []
+    hypot = np.hypot
+
+    def counted(x, y):
+        calls.append(np.shape(x))
+        return hypot(x, y)
+
+    monkeypatch.setattr(np, "hypot", counted)
+    assert same_bits(plate.distance(points), expected)
+    assert calls == [(1, 300)]  # plate's three cylinders, all on the z axis

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from graspmc.vmf import VonMisesFisher, sample_vmf
+from graspmc.vmf import (
+    VonMisesFisher,
+    _radial_component,
+    _rotate_from_e1,
+    draw_vmf,
+    orient_vmf,
+    sample_vmf,
+)
 
 # Mean resultant length oracle A_p(kappa) = I_{p/2}(kappa) / I_{p/2-1}(kappa),
 # computed with scipy.special.iv and frozen:
@@ -84,3 +91,48 @@ def test_seeded_determinism():
     a = draw_many(dist, 99, 50)
     b = draw_many(dist, 99, 50)
     assert np.array_equal(a, b)
+
+
+def reference_sample_vmf(dist, rng):
+    """sample_vmf written as one function, drawing and orienting in turn."""
+    p = dist.dim
+    if dist.kappa == 0.0:
+        while True:
+            raw = rng.standard_normal(p)
+            norm = np.linalg.norm(raw)
+            if norm > 1e-12:
+                return raw / norm
+    w = _radial_component(dist.kappa, p, rng)
+    while True:
+        tangent = rng.standard_normal(p - 1)
+        norm = np.linalg.norm(tangent)
+        if norm > 1e-12:
+            tangent /= norm
+            break
+    canonical = np.concatenate(([w], np.sqrt(max(0.0, 1.0 - w * w)) * tangent))
+    sample = _rotate_from_e1(dist.mean_direction, canonical)
+    return sample / np.linalg.norm(sample)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 150.0, 1e6])
+def test_sample_is_orient_of_draw_bit_for_bit(dim, kappa):
+    means = np.random.default_rng(9).normal(size=(20, dim))
+    means[0] = np.eye(dim)[0]  # the mean the reflection leaves alone
+    rngs = [np.random.default_rng(11) for _ in range(3)]
+    for mu in means:
+        dist = VonMisesFisher(mu / np.linalg.norm(mu), kappa)
+        expected = reference_sample_vmf(dist, rngs[0])
+        assert np.array_equal(sample_vmf(dist, rngs[1]), expected)
+        assert np.array_equal(orient_vmf(dist, draw_vmf(kappa, dim, rngs[2])), expected)
+    states = [rng.bit_generator.state for rng in rngs]
+    assert states[0] == states[1] == states[2]
+
+
+@pytest.mark.parametrize("kappa, dim", [(-1.0, 4), (np.nan, 4), (np.inf, 4), (1.0, 5)])
+def test_draw_validates_before_drawing(kappa, dim):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        draw_vmf(kappa, dim, rng)
+    assert rng.bit_generator.state == before
