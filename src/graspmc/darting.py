@@ -96,7 +96,8 @@ def contains_state(region: JumpRegion, x: np.ndarray) -> bool:
     """True iff x lies inside the ellipsoid (boundary inclusive)."""
     offset = np.asarray(x, dtype=float) - region.center
     local = region.rotation.T @ offset
-    return bool(np.linalg.norm(local / region.scales) <= region.epsilon)
+    w = local / region.scales
+    return bool(np.sqrt(w @ w) <= region.epsilon)  # np.linalg.norm(w), bit for bit
 
 
 def containing_count(regions: list[JumpRegion], x: np.ndarray) -> int:

@@ -4,8 +4,11 @@ The proposal at state x is N(x, gamma^2 I + nu^2 M H M^T), where M stacks
 scaled Gaussian-kernel gradients evaluated at x against a subsample z of
 the chain history and H is the n x n centering matrix. Because M depends
 on the conditioning point, the proposal is not symmetric and the MH ratio
-carries both q directions, each with the covariance rebuilt at its own
-conditioning point.
+carries both q directions, each with the covariance at its own
+conditioning point. Each state's covariance is built and factored once:
+a step hands the factor of the state the chain holds next to the one
+after it, so once the adaptation is frozen a rejected step builds one
+covariance (at the proposal) and an accepted one reuses it.
 
 States may carry a quaternion block (7D grasp vectors): a postprocess hook
 renormalizes and canonicalizes it after each raw draw, and the proposal
@@ -30,7 +33,7 @@ from .darting import DartingConfig, JumpRegion, darting_step
 from .errors import EmptyHistory
 from .history import MOVE_DTYPE, OUTCOME_CODES, ChainHistory
 from .kernels import GaussianKernel, median_bandwidth
-from .linalg import gaussian_logpdf, sample_gaussian
+from .linalg import Factored, draw_gaussian, factor_covariance, factored_logpdf
 from .targets import TargetFn, TargetValue
 
 
@@ -54,12 +57,16 @@ class KameleonConfig:
 
 
 class LocalStep(NamedTuple):
-    """A local move's proposal, its evaluation, and the MH decision on it."""
+    """A local move's proposal, its evaluation, and the MH decision on it.
+
+    `factored` is the factored proposal covariance at the state the chain
+    holds after the step, when the step built it; else None."""
 
     proposal: np.ndarray
     proposal_density: float
     outcome: str | None
     accepted: bool
+    factored: Factored | None = None
 
 
 def subsample_history(pool: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -135,9 +142,16 @@ def kameleon_step(
     subsample: np.ndarray = (),
     kernel: GaussianKernel | None = None,  # required with a subsample
     postprocess: Callable[[np.ndarray], np.ndarray] | None = None,
+    current_factored: Factored | None = None,
 ) -> LocalStep:
     """One adaptive MH step from the proposal shaped by `subsample` under
     `kernel`: propose and decide; recording the step is the caller's.
+
+    `current_factored` is the current state's factored covariance under
+    this subsample and kernel, if the caller has it; it is built otherwise.
+    The returned step carries the factored covariance of the state the
+    chain holds next: the current one on a rejection, the proposal's on an
+    acceptance that built it, None after accepting from zero density.
 
     With nu = 0 (or an empty subsample) this reduces exactly to
     random-walk Metropolis with proposal N(x, gamma^2 I): same draws from
@@ -148,19 +162,22 @@ def kameleon_step(
     adaptive = len(subsample) > 0 and config.nu > 0.0
 
     if adaptive:
-        cov_current = covariance_at(current, subsample, kernel, config)
-        raw = sample_gaussian(current, cov_current, rng)
+        if current_factored is None:
+            current_factored = factor_covariance(covariance_at(current, subsample, kernel, config))
+        raw = draw_gaussian(current, current_factored, rng)
     else:
+        current_factored = None
         raw = current + config.gamma * rng.standard_normal(current.size)
 
     proposal = postprocess(raw) if postprocess is not None else raw
     value = target(proposal)
     proposal_density = float(value.density)
 
+    proposal_factored = None
     if adaptive and proposal_density > 0.0 and current_density > 0.0:
-        cov_proposal = covariance_at(proposal, subsample, kernel, config)
-        log_q_forward = gaussian_logpdf(proposal, current, cov_current)
-        log_q_backward = gaussian_logpdf(current, proposal, cov_proposal)
+        log_q_forward = factored_logpdf(proposal, current, current_factored)
+        proposal_factored = factor_covariance(covariance_at(proposal, subsample, kernel, config))
+        log_q_backward = factored_logpdf(current, proposal, proposal_factored)
         log_ratio = (
             np.log(proposal_density) - np.log(current_density) + log_q_backward - log_q_forward
         )
@@ -168,7 +185,9 @@ def kameleon_step(
     else:
         alpha = symmetric_acceptance(proposal_density, current_density)
 
-    return LocalStep(proposal, proposal_density, value.outcome, bool(rng.uniform() < alpha))
+    accepted = bool(rng.uniform() < alpha)
+    factored = proposal_factored if accepted else current_factored
+    return LocalStep(proposal, proposal_density, value.outcome, accepted, factored)
 
 
 def _run_chain(
@@ -197,7 +216,10 @@ def _run_chain(
       ("jump", or "recount" outside every region); without one no gate is
       drawn, so at nu = 0 a Kameleon chain makes exactly the draws of plain
       random-walk Metropolis;
-    - the local step is `walk` ("random-walk") if given, else `kameleon_step`.
+    - the local step is `walk` ("random-walk") if given, else `kameleon_step`,
+      handed the current state's factored covariance from the step before
+      when it still holds: a refresh or an accepted jump drops it, and a
+      rejected jump or a recount keeps it.
 
     Steps only propose and decide; this loop alone moves the state and
     records each proposal with its decision, in step rows allocated here, so
@@ -219,6 +241,7 @@ def _run_chain(
     seeded = len(seed_rows)
     subsample = ()
     kernel = kameleon.kernel if kameleon is not None else None
+    factored = None  # the current state's, under this subsample and kernel
     for t in range(iterations):
         if (
             kameleon is not None
@@ -228,6 +251,7 @@ def _run_chain(
         ):
             subsample = subsample_history(pool[: seeded + t], kameleon.subsample_size, rng)
             kernel = kameleon.kernel or GaussianKernel(median_bandwidth(subsample))
+            factored = None
         if darting is not None and rng.uniform() >= darting.p_check and regions:
             jump = darting_step(
                 current, density, regions, target, darting, rng, postprocess=postprocess
@@ -239,6 +263,8 @@ def _run_chain(
                     "jump", jump.proposal, jump.proposal_density, jump.proposal_outcome
                 )
             accepted = jump.jumped
+            if accepted:
+                factored = None
         else:
             if walk is not None:
                 move, step = "random-walk", walk(current, density)
@@ -246,10 +272,9 @@ def _run_chain(
                 move, step = "kameleon", kameleon_step(
                     current, density, target, kameleon, rng,
                     subsample=subsample, kernel=kernel, postprocess=postprocess,
+                    current_factored=factored,
                 )
-            proposal, p_density, p_outcome, accepted = (
-                step.proposal, step.proposal_density, step.outcome, step.accepted
-            )
+            proposal, p_density, p_outcome, accepted, factored = step
         if p_density < 0.0:
             raise ValueError("densities must be nonnegative")
         if accepted:

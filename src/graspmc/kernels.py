@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +25,32 @@ class GaussianKernel:
         return float(np.exp(-float(diff @ diff) / (2.0 * self.bandwidth_sigma**2)))
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, k=1), built once per n and read-only."""
+    pairs = np.triu_indices(n, k=1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def median_bandwidth(points: list[np.ndarray], floor: float = BANDWIDTH_FLOOR) -> float:
-    """Median of pairwise distances among points, floored away from zero."""
+    """Median of pairwise distances among points, floored away from zero.
+
+    The median is taken on the squared distances and only the one or two
+    middle values are clamped at zero and rooted: sqrt is monotone and
+    correctly rounded, so this is the median of the distances bit for bit.
+    """
     if len(points) < 2:
         return max(1.0, floor)
     stacked = np.asarray(points, dtype=float)
     sq_norms = np.sum(stacked * stacked, axis=1)
     sq_dists = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (stacked @ stacked.T)
-    upper = sq_dists[np.triu_indices(len(points), k=1)]
-    median = float(np.median(np.sqrt(np.maximum(upper, 0.0))))
+    upper = sq_dists[_upper_pairs(len(points))]
+    half = upper.size // 2
+    middle = [half] if upper.size % 2 else [half - 1, half]
+    part = np.partition(upper, [*middle, -1])
+    if np.isnan(part[-1]):  # as in np.median, a NaN distance makes the median NaN
+        return float("nan")
+    median = float(np.mean(np.sqrt(np.maximum(part[middle[0] : middle[-1] + 1], 0.0))))
     return max(median, floor)

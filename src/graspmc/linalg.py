@@ -7,6 +7,8 @@ PSD-clamping contracts the samplers rely on.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import DecompositionFailure, NonSymmetricCovariance
@@ -38,19 +40,39 @@ def svd_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vectors[:, order], lam
 
 
-def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """A factor L with L @ L.T == a for symmetric PSD a.
+class Factored(NamedTuple):
+    """A covariance factored once: L with L @ L.T == covariance, and
+    log|covariance| when L is its Cholesky factor (None otherwise)."""
 
-    Cholesky when a is positive definite; otherwise the eigendecomposition
-    square root, which maps null directions to exact zeros (rank-deficient
-    adaptive covariances are routine here). Escalating diagonal jitter is a
-    last resort if eigh itself fails to converge.
+    factor: np.ndarray
+    log_det: float | None
+
+
+def factor_covariance(covariance: np.ndarray) -> Factored:
+    """Factor a symmetric PSD covariance for `draw_gaussian` and
+    `factored_logpdf`.
+
+    Cholesky when the covariance is positive definite, with its log-det.
+    Otherwise the `psd_sqrt` fallback (eigendecomposition square root, then
+    jitter) with no log-det, so the draw still works and the density
+    raises. Raises NonSymmetricCovariance / DecompositionFailure.
     """
-    a = require_symmetric(a)
+    a = require_symmetric(covariance)
     try:
-        return np.linalg.cholesky(a)
+        factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        pass
+        return Factored(psd_sqrt(a), None)
+    return Factored(factor, 2.0 * float(np.sum(np.log(np.diag(factor)))))
+
+
+def psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """A factor L with L @ L.T == a for a symmetric PSD a that Cholesky
+    rejects.
+
+    The eigendecomposition square root, which maps null directions to exact
+    zeros (rank-deficient adaptive covariances are routine here). Escalating
+    diagonal jitter is a last resort if eigh itself fails to converge.
+    """
     try:
         u, lam = svd_symmetric(a)
         return u * np.sqrt(lam)
@@ -68,35 +90,39 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     raise DecompositionFailure(f"factorization failed after jitter escalation to {jitter:g}")
 
 
+def draw_gaussian(mean: np.ndarray, factored: Factored, rng: np.random.Generator) -> np.ndarray:
+    """Draw mean + L z with z standard normal.
+
+    Null directions of a singular covariance come back exactly equal to the
+    mean components.
+    """
+    mean = np.asarray(mean, dtype=float)
+    z = rng.standard_normal(mean.size)
+    return mean + factored.factor @ z
+
+
+def factored_logpdf(x: np.ndarray, mean: np.ndarray, factored: Factored) -> float:
+    """Log density of N(mean, L L^T) at x; raises DecompositionFailure when
+    the covariance was not positive definite (no log-det)."""
+    if factored.log_det is None:
+        raise DecompositionFailure("covariance is not positive definite")
+    x = np.asarray(x, dtype=float)
+    diff = x - np.asarray(mean, dtype=float)
+    y = np.linalg.solve(factored.factor, diff)
+    d = x.size
+    return -0.5 * (d * np.log(2.0 * np.pi) + factored.log_det + float(y @ y))
+
+
 def sample_gaussian(
     mean: np.ndarray, covariance: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw mean + L z with L L^T = covariance and z standard normal.
-
-    Null directions of a singular covariance come back exactly equal to the
-    mean components. Raises NonSymmetricCovariance / DecompositionFailure.
-    """
-    mean = np.asarray(mean, dtype=float)
-    factor = psd_sqrt(covariance)
-    z = rng.standard_normal(mean.size)
-    return mean + factor @ z
+    """`draw_gaussian` from a covariance. Raises NonSymmetricCovariance /
+    DecompositionFailure."""
+    return draw_gaussian(mean, factor_covariance(covariance), rng)
 
 
 def gaussian_logpdf(x: np.ndarray, mean: np.ndarray, covariance: np.ndarray) -> float:
-    """Log density of N(mean, covariance) at x; covariance must be PD.
-
-    Raises NonSymmetricCovariance, or DecompositionFailure when the
-    covariance is not positive definite.
-    """
-    x = np.asarray(x, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    covariance = require_symmetric(covariance)
-    try:
-        factor = np.linalg.cholesky(covariance)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionFailure(f"covariance is not positive definite: {exc}") from exc
-    diff = x - mean
-    y = np.linalg.solve(factor, diff)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(factor))))
-    d = x.size
-    return -0.5 * (d * np.log(2.0 * np.pi) + log_det + float(y @ y))
+    """`factored_logpdf` from a covariance, which must be PD. Raises
+    NonSymmetricCovariance, or DecompositionFailure when the covariance is
+    not positive definite."""
+    return factored_logpdf(x, mean, factor_covariance(covariance))

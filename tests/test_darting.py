@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graspmc.darting import (
     DartingConfig,
@@ -198,3 +200,33 @@ class TestDartingStep:
             x = rng.standard_normal(3) * 2
             direct = sum(contains_state(r, x) for r in regions)
             assert containing_count(regions, x) == direct
+
+
+class TestMembershipNorm:
+    """contains_state's sqrt(w @ w) is np.linalg.norm(w) bit for bit, so the
+    boundary decision is the one the norm makes."""
+
+    @staticmethod
+    def norm_decision(region, x):
+        w = (region.rotation.T @ (np.asarray(x, dtype=float) - region.center)) / region.scales
+        return bool(np.linalg.norm(w) <= region.epsilon)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(1, 8),
+        epsilon=st.floats(0.05, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_norm_form(self, dim, epsilon, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((dim, dim))
+        region = region_at(rng.standard_normal(dim), a @ a.T + 1e-3 * np.eye(dim), eps=epsilon)
+        points = [region.center + rng.standard_normal(dim) * rng.uniform(0.1, 3.0) for _ in range(20)]
+        for axis in range(dim):  # exactly on the boundary along each axis, both ways
+            for sign in (1.0, -1.0):
+                edge = region.center + sign * region.rotation[:, axis] * region.semi_axes()[axis]
+                points += [edge, np.nextafter(edge, edge + sign), np.nextafter(edge, edge - sign)]
+        for x in points:
+            w = (region.rotation.T @ (x - region.center)) / region.scales
+            assert np.sqrt(w @ w).tobytes() == np.linalg.norm(w).tobytes()
+            assert contains_state(region, x) == self.norm_decision(region, x)

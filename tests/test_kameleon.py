@@ -1,24 +1,29 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graspmc.darting import DartingConfig, build_jump_region
-from graspmc.errors import EmptyHistory
-from graspmc import kameleon
+from graspmc.errors import DecompositionFailure, EmptyHistory
+from graspmc import kameleon, linalg
+from graspmc.grasping import canonicalize_grasp_vector
 from graspmc.history import OUTCOME_LABELS, ChainHistory, rows
 from graspmc.kameleon import (
     KameleonConfig,
+    LocalStep,
     adaptation_schedule,
     kameleon_step,
     kernel_gradient_matrix,
     proposal_covariance,
     run_kameleon_chain,
     subsample_history,
+    symmetric_acceptance,
 )
 from graspmc.kernels import GaussianKernel
 from graspmc.learning import run_combined_chain, tally_outcomes
-from graspmc.targets import TargetValue, standard_normal_target
+from graspmc.targets import TargetValue, gaussian_mixture_target, standard_normal_target
 
 
 class TestSubsample:
@@ -317,3 +322,193 @@ class TestChainBehaviour:
         a = run_kameleon_chain(target, np.zeros(2), 300, cfg, np.random.default_rng(5))
         b = run_kameleon_chain(target, np.zeros(2), 300, cfg, np.random.default_rng(5))
         assert np.array_equal(np.asarray(a.states), np.asarray(b.states))
+
+
+def uncarried_kameleon_step(
+    current, current_density, target, config, rng, *,
+    subsample=(), kernel=None, postprocess=None, current_factored=None,
+):
+    """Reference: the Kameleon step that builds both covariances afresh on
+    every call and ignores any carried factor."""
+    current = np.asarray(current, dtype=float)
+    adaptive = len(subsample) > 0 and config.nu > 0.0
+
+    if adaptive:
+        cov_current = kameleon.covariance_at(current, subsample, kernel, config)
+        raw = linalg.sample_gaussian(current, cov_current, rng)
+    else:
+        raw = current + config.gamma * rng.standard_normal(current.size)
+
+    proposal = postprocess(raw) if postprocess is not None else raw
+    value = target(proposal)
+    proposal_density = float(value.density)
+
+    if adaptive and proposal_density > 0.0 and current_density > 0.0:
+        cov_proposal = kameleon.covariance_at(proposal, subsample, kernel, config)
+        log_q_forward = linalg.gaussian_logpdf(proposal, current, cov_current)
+        log_q_backward = linalg.gaussian_logpdf(current, proposal, cov_proposal)
+        log_ratio = (
+            np.log(proposal_density) - np.log(current_density) + log_q_backward - log_q_forward
+        )
+        alpha = 1.0 if log_ratio >= 0.0 else float(np.exp(log_ratio))
+    else:
+        alpha = symmetric_acceptance(proposal_density, current_density)
+
+    return LocalStep(proposal, proposal_density, value.outcome, bool(rng.uniform() < alpha))
+
+
+GRASP_MODES = np.array([
+    canonicalize_grasp_vector(np.array([0.0, 0.0, 0.0, 1.0, 0.2, -0.1, 0.3])),
+    canonicalize_grasp_vector(np.array([0.4, -0.3, 0.2, 0.3, 1.0, 0.4, -0.2])),
+    canonicalize_grasp_vector(np.array([-0.2, 0.5, 0.1, -0.4, 0.1, 1.0, 0.5])),
+])
+GRASP_MIXTURE = gaussian_mixture_target(GRASP_MODES, 0.15)
+ZERO_CUT = 0.45  # positions with x beyond this have zero density
+
+
+def cut_grasp_mixture(state):
+    return GRASP_MIXTURE(state) if state[0] <= ZERO_CUT else TargetValue(0.0, None)
+
+
+def grasp_chain(seed, nu, burn_in, iterations, fixed_kernel, zero_start, p_check=0.6):
+    """A combined chain on 7-D grasp vectors: three modes with regions that
+    overlap a little, canonicalised proposals, and a start that is either a
+    mode or a zero-density state."""
+    rng = np.random.default_rng(seed)
+    regions = [build_jump_region(mode, 0.4 * np.eye(7), 0.6) for mode in GRASP_MODES]
+    history = ChainHistory()
+    for mode in GRASP_MODES:
+        history.seed_state(mode, cut_grasp_mixture(mode).density)
+    start = GRASP_MODES[seed % 3].copy()
+    if zero_start:
+        start[0] = ZERO_CUT + 0.05
+    kernel = GaussianKernel(0.3) if fixed_kernel else None
+    cfg = KameleonConfig(gamma=0.05, nu=nu, subsample_size=6, burn_in=burn_in, kernel=kernel)
+    history = run_combined_chain(
+        cut_grasp_mixture, start, iterations, cfg, DartingConfig(p_check, 0.6), regions, history,
+        rng, postprocess=canonicalize_grasp_vector,
+    )
+    return history, rng.bit_generator.state
+
+
+CHAIN_COLUMNS = (
+    "seed_states", "seed_densities", "states", "densities", "proposals",
+    "proposal_densities", "accepted", "outcomes", "moves",
+)
+
+
+def assert_same_chain(carried, reference):
+    (history, state), (expected, expected_state) = carried, reference
+    for column in CHAIN_COLUMNS:
+        a, b = getattr(history, column), getattr(expected, column)
+        assert a.dtype == b.dtype and a.shape == b.shape, column
+        assert a.tobytes() == b.tobytes(), column
+    assert state == expected_state
+
+
+class TestCarriedFactor:
+    """The chain hands each state's factored covariance to the next step;
+    that must change no draw, density or decision."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        nu=st.sampled_from([0.0, 0.5, 2.38 / np.sqrt(7)]),
+        burn_in=st.sampled_from([0, 1, 3, 500]),
+        iterations=st.integers(1, 80),
+        fixed_kernel=st.booleans(),
+        zero_start=st.booleans(),
+        p_check=st.sampled_from([0.0, 0.6, 1.0]),
+    )
+    def test_matches_the_uncarried_chain(
+        self, seed, nu, burn_in, iterations, fixed_kernel, zero_start, p_check
+    ):
+        args = (seed, nu, burn_in, iterations, fixed_kernel, zero_start, p_check)
+        carried = grasp_chain(*args)
+        with mock.patch.object(kameleon, "kameleon_step", uncarried_kameleon_step):
+            reference = grasp_chain(*args)
+        assert_same_chain(carried, reference)
+
+    def test_long_chain_covers_every_carry_case(self):
+        args = (3, 2.38 / np.sqrt(7), 40, 1500, False, True)
+        carried = grasp_chain(*args)
+        with mock.patch.object(kameleon, "kameleon_step", uncarried_kameleon_step):
+            reference = grasp_chain(*args)
+        assert_same_chain(carried, reference)
+        h = carried[0]
+        moves, accepted = h.moves, h.accepted
+        before = np.concatenate([h.seed_densities[-1:], h.densities[:-1]])
+        assert np.any((moves == "kameleon") & accepted & (before == 0.0))  # leaves zero density
+        for move in ("kameleon", "jump"):
+            assert np.any((moves == move) & accepted) and np.any((moves == move) & ~accepted)
+        assert np.any(moves == "recount")
+
+    def test_frozen_chain_builds_one_covariance_per_step(self, monkeypatch):
+        builds, per_step = [0], []
+        covariance_at, step = kameleon.covariance_at, kameleon.kameleon_step
+
+        def counted_covariance(*args, **kwargs):
+            builds[0] += 1
+            return covariance_at(*args, **kwargs)
+
+        def counted_step(*args, **kwargs):
+            before = builds[0]
+            result = step(*args, **kwargs)
+            per_step.append((builds[0] - before, result.accepted))
+            return result
+
+        monkeypatch.setattr(kameleon, "covariance_at", counted_covariance)
+        monkeypatch.setattr(kameleon, "kameleon_step", counted_step)
+        cfg = KameleonConfig(gamma=0.3, nu=1.0, subsample_size=20, burn_in=10)
+        run_kameleon_chain(standard_normal_target(3), np.zeros(3), 300, cfg, np.random.default_rng(4))
+        counts = [count for count, _ in per_step]
+        assert counts[:10] == [2] * 10  # each burn-in step refreshes the adaptation
+        after = per_step[10:]
+        rejected_twice = [
+            count for (count, ok), (_, ok_before) in zip(after[1:], after) if not ok and not ok_before
+        ]
+        assert len(rejected_twice) > 20
+        assert rejected_twice == [1] * len(rejected_twice)
+        assert [count for count, _ in after] == [1] * len(after)
+
+
+class TestNonPositiveDefiniteCovariance:
+    """A singular covariance: Cholesky fails, the draw takes the eigh
+    factor, and the density raises as it did before the factor was carried."""
+
+    SINGULAR = np.diag([0.04, 0.0, 0.01])
+    CURRENT = np.array([0.5, -1.0, 2.0])
+
+    def step(self, monkeypatch, density, proposals, seed=0, **kwargs):
+        def target(state):
+            proposals.append(state)
+            return TargetValue(density, None)
+
+        monkeypatch.setattr(kameleon, "covariance_at", lambda *args: self.SINGULAR.copy())
+        cfg = KameleonConfig(gamma=0.1, nu=1.0, subsample_size=5)
+        return kameleon_step(
+            self.CURRENT, 1.0, target, cfg, np.random.default_rng(seed),
+            subsample=np.ones((2, 3)), kernel=GaussianKernel(1.0), **kwargs,
+        )
+
+    def expected_draw(self, seed=0):
+        return linalg.sample_gaussian(self.CURRENT, self.SINGULAR, np.random.default_rng(seed))
+
+    def test_density_raises_after_the_eigh_draw(self, monkeypatch):
+        proposals = []
+        with pytest.raises(DecompositionFailure):
+            self.step(monkeypatch, 0.5, proposals)
+        assert proposals[0].tobytes() == self.expected_draw().tobytes()
+        assert proposals[0][1] == -1.0  # the null direction keeps the mean exactly
+
+    def test_draw_and_carry_use_the_eigh_factor(self, monkeypatch):
+        proposals = []
+        step = self.step(monkeypatch, 0.0, proposals)
+        assert not step.accepted
+        assert proposals[0].tobytes() == self.expected_draw().tobytes()
+        assert step.factored.log_det is None
+        assert step.factored.factor.tobytes() == linalg.psd_sqrt(self.SINGULAR).tobytes()
+        self.step(monkeypatch, 0.0, proposals, seed=1, current_factored=step.factored)
+        assert proposals[1].tobytes() == self.expected_draw(seed=1).tobytes()
+        with pytest.raises(DecompositionFailure):
+            self.step(monkeypatch, 0.5, proposals, seed=1, current_factored=step.factored)

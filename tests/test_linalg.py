@@ -111,3 +111,38 @@ class TestGaussianLogpdf:
         with pytest.raises(DecompositionFailure) as caught:
             linalg.gaussian_logpdf(np.zeros(2), np.zeros(2), covariance)
         assert isinstance(caught.value, GraspMCError)
+
+
+class TestFactoredCovariance:
+    def test_positive_definite_is_cholesky_with_its_log_det(self):
+        cov = random_psd(np.random.default_rng(3), 5) + 0.1 * np.eye(5)
+        factored = linalg.factor_covariance(cov)
+        chol = np.linalg.cholesky(cov)
+        assert factored.factor.tobytes() == chol.tobytes()
+        assert factored.log_det == 2.0 * float(np.sum(np.log(np.diag(chol))))
+        assert factored.log_det == pytest.approx(np.linalg.slogdet(cov)[1], rel=1e-12)
+
+    @pytest.mark.parametrize("rank", [0, 1, 3])
+    def test_singular_takes_the_eigh_factor_without_log_det(self, rank):
+        cov = random_psd(np.random.default_rng(4), 4, rank=rank)
+        factored = linalg.factor_covariance(cov)
+        assert factored.log_det is None
+        assert factored.factor.tobytes() == linalg.psd_sqrt(cov).tobytes()
+        np.testing.assert_allclose(factored.factor @ factored.factor.T, cov, atol=1e-10)
+        with pytest.raises(DecompositionFailure):
+            linalg.factored_logpdf(np.zeros(4), np.ones(4), factored)
+
+    def test_wrappers_are_the_factored_forms(self):
+        rng = np.random.default_rng(5)
+        for cov in (random_psd(rng, 3) + 0.05 * np.eye(3), random_psd(rng, 3, rank=2)):
+            factored = linalg.factor_covariance(cov)
+            mean, x = rng.standard_normal(3), rng.standard_normal(3)
+            a = linalg.sample_gaussian(mean, cov, np.random.default_rng(8))
+            b = linalg.draw_gaussian(mean, factored, np.random.default_rng(8))
+            assert a.tobytes() == b.tobytes()
+            if factored.log_det is not None:
+                assert linalg.gaussian_logpdf(x, mean, cov) == linalg.factored_logpdf(x, mean, factored)
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(NonSymmetricCovariance):
+            linalg.factor_covariance(np.array([[1.0, 0.5], [0.0, 1.0]]))
