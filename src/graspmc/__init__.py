@@ -16,8 +16,6 @@ from .history import ChainHistory
 from .kameleon import KameleonConfig, kameleon_step, run_kameleon_chain
 from .kernels import GaussianKernel
 from .learning import (
-    ACTUAL_OBJECT_MODES,
-    SIMILAR_OBJECT_MODES,
     LearnedModel,
     RoughSketch,
     active_learn,
@@ -31,7 +29,6 @@ from .objects import ObjectModel, get_object, object_catalog
 from .vmf import VonMisesFisher, sample_vmf
 
 __all__ = [
-    "ACTUAL_OBJECT_MODES",
     "ChainHistory",
     "DartingConfig",
     "EvaluationConfig",
@@ -44,7 +41,6 @@ __all__ = [
     "LearnedModel",
     "ObjectModel",
     "RoughSketch",
-    "SIMILAR_OBJECT_MODES",
     "VonMisesFisher",
     "active_learn",
     "build_jump_region",

@@ -1,6 +1,6 @@
 """Command-line experiment runner.
 
-Verbs: sketch, demonstrate, learn, transfer, report, export. Every run
+Verbs: sketch, demonstrate, learn, transfer, report, export, objects. Every run
 writes its effective configuration (after defaulting) next to its results;
 learn/transfer require --seed (or a --seeds range for sweeps).
 """
@@ -10,11 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from .experiments import (
+    _FIELD_KINDS,
     ACTIVE_BIASED_INIT,
     ACTIVE_RANDOM_INIT,
     RANDOM_WALK_BASELINE,
@@ -34,25 +37,19 @@ from .serialization import model_from_document, model_to_document, sketch_to_doc
 
 LEARN_EXPERIMENTS = (RANDOM_WALK_BASELINE, ACTIVE_RANDOM_INIT, ACTIVE_BIASED_INIT)
 
-_NUMERIC_FLAGS = (
-    ("iterations", int),
-    ("burn-in", int),
-    ("gamma", float),
-    ("nu", float),
-    ("subsample-size", int),
-    ("p-check", float),
-    ("epsilon", float),
-    ("scale-floor", float),
-    ("kappa", float),
-    ("position-sigma", float),
-    ("demonstration-count", int),
+# ExperimentConfig's numeric fields but the seed, each settable by its --flag
+_CONFIG_FLAGS = tuple(
+    f for f in fields(ExperimentConfig)
+    if f.name != "seed" and _FIELD_KINDS[f.type] in (Integral, Real)
 )
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; CLI flags override its fields")
-    for flag, kind in _NUMERIC_FLAGS:
-        parser.add_argument(f"--{flag}", type=kind, default=None)
+    for f in _CONFIG_FLAGS:
+        kind = int if _FIELD_KINDS[f.type] is Integral else float
+        parser.add_argument(f"--{f.name.replace('_', '-')}", type=kind, default=None)
     parser.add_argument("--no-trace", action="store_true", default=None)
 
 
@@ -72,10 +69,9 @@ def _build_config(args: argparse.Namespace, experiment: str, seed: int) -> Exper
     doc["experiment"] = experiment
     doc["object_name"] = args.object
     doc["seed"] = seed
-    for flag, _ in _NUMERIC_FLAGS:
-        value = getattr(args, flag.replace("-", "_"))
-        if value is not None:
-            doc[flag.replace("-", "_")] = value
+    for f in _CONFIG_FLAGS:
+        if getattr(args, f.name) is not None:
+            doc[f.name] = getattr(args, f.name)
     if args.no_trace:
         doc["keep_trace"] = False
     if getattr(args, "source", None):
@@ -93,11 +89,8 @@ def _run_and_write(config: ExperimentConfig, out_dir: Path) -> None:
     )
     if model is not None:
         (out_dir / f"{stem}.model.json").write_text(model_to_document(model), encoding="utf-8")
-    t = record.tallies
-    print(
-        f"{stem}: success={t.success} slipped={t.slipped} "
-        f"collision={t.collision} miss={t.miss} ({record.duration_seconds:.1f}s)"
-    )
+    counts = " ".join(f"{kind}={n}" for kind, n in record.tallies._asdict().items())
+    print(f"{stem}: {counts} ({record.duration_seconds:.1f}s)")
 
 
 def _cmd_sketch(args: argparse.Namespace) -> None:
@@ -106,13 +99,7 @@ def _cmd_sketch(args: argparse.Namespace) -> None:
     rng = np.random.default_rng(args.seed)
     demos = demonstrate_grasps(obj, gripper, 1, rng)
     sketch = build_rough_sketch(
-        obj,
-        gripper,
-        args.iterations,
-        demos[0][0],
-        args.position_sigma if args.position_sigma is not None else 0.10,
-        args.kappa if args.kappa is not None else 50.0,
-        rng,
+        obj, gripper, args.iterations, demos[0][0], args.position_sigma, args.kappa, rng
     )
     Path(args.out).write_text(sketch_to_document(sketch), encoding="utf-8")
     print(f"wrote {args.out}: {len(sketch.proposals)} proposals on {args.object}")
@@ -174,16 +161,16 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("sketch", help="run a random-walk sketch on an object")
     p.add_argument("--object", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--iterations", type=int, default=1100)
-    p.add_argument("--position-sigma", type=float, default=None)
-    p.add_argument("--kappa", type=float, default=None)
+    p.add_argument("--iterations", type=int, default=_DEFAULTS["burn_in"] + _DEFAULTS["iterations"])
+    p.add_argument("--position-sigma", type=float, default=_DEFAULTS["position_sigma"])
+    p.add_argument("--kappa", type=float, default=_DEFAULTS["kappa"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sketch)
 
     p = sub.add_parser("demonstrate", help="generate demonstrated grasps")
     p.add_argument("--object", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--count", type=int, default=_DEFAULTS["demonstration_count"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_demonstrate)
 

@@ -30,7 +30,7 @@ class DemonstrationFailure(GraspMCError):
 
 
 class InvalidDemonstration(GraspMCError):
-    """A demonstrated grasp has zero density on its object."""
+    """No demonstrations or modes were given, or one has zero density on its object."""
 
 
 class MissingSourceModel(GraspMCError):

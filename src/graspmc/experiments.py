@@ -6,8 +6,8 @@ sketch, and the two transfer variants (similar-object or actual-object
 modes). Every run is driven by one seed: phase generators (demonstrations,
 sketch, chain) are spawned from it in a fixed order, so runs with the same
 seed share demonstrations across presets and are exactly reproducible. The
-demonstration search of one (object, seed) runs once per process and is
-reused by every preset that needs it.
+last demonstration search is kept, so consecutive presets on one (object,
+seed) share it.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .gripper import GripperModel, default_gripper
 from .history import OUTCOME_LABELS, ChainHistory
 from .kameleon import KameleonConfig
 from .learning import (
-    ACTUAL_OBJECT_MODES,
-    SIMILAR_OBJECT_MODES,
     LearnedModel,
     Tally,
     active_learn,
@@ -166,12 +164,7 @@ class ResultRecord:
             "version": self.version,
             "created": self.created,
             "config": self.config,
-            "tallies": {
-                "success": self.tallies.success,
-                "slipped": self.tallies.slipped,
-                "collision": self.tallies.collision,
-                "miss": self.tallies.miss,
-            },
+            "tallies": self.tallies._asdict(),
             "sketch_evaluations": self.sketch_evaluations,
             "duration_seconds": self.duration_seconds,
             "trace": self.trace,
@@ -184,7 +177,7 @@ class ResultRecord:
         t = doc["tallies"]
         return ResultRecord(
             config=doc["config"],
-            tallies=Tally(t["success"], t["slipped"], t["collision"], t["miss"]),
+            tallies=Tally._make(t[name] for name in Tally._fields),
             trace=doc.get("trace", []),
             duration_seconds=doc.get("duration_seconds", 0.0),
             sketch_evaluations=doc.get("sketch_evaluations", 0),
@@ -262,7 +255,6 @@ def run_experiment(
     rngs = _phase_rngs(config.seed)
     started = time.perf_counter()
     total = config.burn_in + config.iterations
-    sketch_evaluations = 0
     model: LearnedModel | None = None
     if config.experiment in TRANSFER_EXPERIMENTS and source is None:
         if not config.source_model:
@@ -276,73 +268,40 @@ def run_experiment(
             )
         )
 
-    if config.experiment in TRANSFER_EXPERIMENTS:
-        if config.experiment == TRANSFER_ACTUAL_MODES:
-            mode_source, actual = ACTUAL_OBJECT_MODES, demos
-        else:
-            mode_source, actual = SIMILAR_OBJECT_MODES, None
-        model = transfer_learn(
-            obj,
-            gripper,
-            source,
-            mode_source,
-            actual,
-            config.kameleon(),
-            config.darting(),
-            config.iterations,
-            rngs["chain"],
-            eval_config,
-        )
-        history = model.chain
-    elif config.experiment == RANDOM_WALK_BASELINE:
+    if config.experiment in (RANDOM_WALK_BASELINE, ACTIVE_BIASED_INIT):
+        # the baseline's walk is its chain; the biased preset's walk is its sketch
+        walk = "chain" if config.experiment == RANDOM_WALK_BASELINE else "sketch"
         history = ChainHistory(proposal_sourced=True)
-        build_rough_sketch(
+        sketch = build_rough_sketch(
             obj,
             gripper,
             total,
             demos[int(rngs["init"].integers(len(demos)))],
             config.position_sigma,
             config.kappa,
-            rngs["chain"],
+            rngs[walk],
             eval_config,
             history=history,
         )
-    else:
-        if config.experiment == ACTIVE_BIASED_INIT:
-            sketch = build_rough_sketch(
-                obj,
-                gripper,
-                total,
-                demos[int(rngs["init"].integers(len(demos)))],
-                config.position_sigma,
-                config.kappa,
-                rngs["sketch"],
-                eval_config,
-            )
-            sketch_evaluations = total
-        else:
-            sketch = random_sketch(obj, gripper, total, rngs["sketch"], eval_config)
-        model = active_learn(
-            obj,
-            gripper,
-            sketch,
-            demos,
-            config.kameleon(),
-            config.darting(),
-            config.iterations,
-            rngs["chain"],
-            eval_config,
-        )
-        history = model.chain
-
+    elif config.experiment == ACTIVE_RANDOM_INIT:
+        sketch = random_sketch(obj, gripper, total, rngs["sketch"], eval_config)
+    chain_args = (
+        config.kameleon(), config.darting(), config.iterations, rngs["chain"], eval_config
+    )
+    if config.experiment in TRANSFER_EXPERIMENTS:
+        modes = demos if config.experiment == TRANSFER_ACTUAL_MODES else None
+        model = transfer_learn(obj, gripper, source, modes, *chain_args)
+    elif config.experiment != RANDOM_WALK_BASELINE:
+        model = active_learn(obj, gripper, sketch, demos, *chain_args)
     if model is not None:
+        history = model.chain
         model.config = config.to_dict()
     record = ResultRecord(
         config=config.to_dict(),
         tallies=tally_outcomes(history),
         trace=_trace_rows(history) if config.keep_trace else [],
         duration_seconds=time.perf_counter() - started,
-        sketch_evaluations=sketch_evaluations,
+        sketch_evaluations=total if config.experiment == ACTIVE_BIASED_INIT else 0,
         created=_dt.datetime.now(_dt.timezone.utc).isoformat(),
     )
     return record, model
@@ -352,28 +311,18 @@ def emit_table(records: list[ResultRecord]) -> tuple[str, str]:
     """(csv_text, aligned_text) grouped by experiment then object."""
     if not records:
         raise ValueError("no records to tabulate")
-    rows = []
-    for record in sorted(
-        records,
-        key=lambda r: (
-            EXPERIMENTS.index(r.config["experiment"]),
-            r.config["object_name"],
-            r.config["seed"],
-        ),
-    ):
-        t = record.tallies
-        rows.append(
-            (
-                record.config["experiment"],
-                record.config["object_name"],
-                record.config["seed"],
-                t.success,
-                t.slipped,
-                t.collision,
-                t.miss,
-            )
+    rows = [
+        (r.config["experiment"], r.config["object_name"], r.config["seed"], *r.tallies)
+        for r in sorted(
+            records,
+            key=lambda r: (
+                EXPERIMENTS.index(r.config["experiment"]),
+                r.config["object_name"],
+                r.config["seed"],
+            ),
         )
-    header = ("experiment", "object", "seed", "success", "slipped", "collision", "miss")
+    ]
+    header = ("experiment", "object", "seed", *Tally._fields)
 
     buffer = io.StringIO()
     writer = csv.writer(buffer)

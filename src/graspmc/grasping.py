@@ -312,14 +312,16 @@ def _material_thickness(
     return float(ts[int(exits[0])]) if exits.size else float(max_depth)
 
 
-def sample_surface_point(
-    obj: ObjectModel, rng: np.random.Generator, shell: float = 1e-3, batch: int = 512
-) -> np.ndarray:
-    """Rejection-sample a point on the SDF shell |d| < shell inside the bounds."""
+SURFACE_SHELL = 1e-3  # surface points are drawn from |d| < SURFACE_SHELL
+SURFACE_BATCH = 512  # uniform draws per rejection round
+
+
+def sample_surface_point(obj: ObjectModel, rng: np.random.Generator) -> np.ndarray:
+    """Rejection-sample a point on the SDF shell |d| < SURFACE_SHELL inside the bounds."""
     while True:
-        points = rng.uniform(obj.bounds_lo, obj.bounds_hi, size=(batch, 3))
+        points = rng.uniform(obj.bounds_lo, obj.bounds_hi, size=(SURFACE_BATCH, 3))
         d = np.abs(obj.distance(points))
-        hits = np.nonzero(d < shell)[0]
+        hits = np.nonzero(d < SURFACE_SHELL)[0]
         if hits.size:
             return points[int(hits[0])]
 

@@ -34,15 +34,16 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def median_bandwidth(points: list[np.ndarray], floor: float = BANDWIDTH_FLOOR) -> float:
-    """Median of pairwise distances among points, floored away from zero.
+def median_bandwidth(points: list[np.ndarray]) -> float:
+    """Median of pairwise distances among points, floored at BANDWIDTH_FLOOR;
+    1.0 for fewer than two points.
 
     The median is taken on the squared distances and only the one or two
     middle values are clamped at zero and rooted: sqrt is monotone and
     correctly rounded, so this is the median of the distances bit for bit.
     """
     if len(points) < 2:
-        return max(1.0, floor)
+        return 1.0
     stacked = np.asarray(points, dtype=float)
     sq_norms = np.sum(stacked * stacked, axis=1)
     sq_dists = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (stacked @ stacked.T)
@@ -53,4 +54,4 @@ def median_bandwidth(points: list[np.ndarray], floor: float = BANDWIDTH_FLOOR) -
     if np.isnan(part[-1]):  # as in np.median, a NaN distance makes the median NaN
         return float("nan")
     median = float(np.mean(np.sqrt(np.maximum(part[middle[0] : middle[-1] + 1], 0.0))))
-    return max(median, floor)
+    return max(median, BANDWIDTH_FLOOR)

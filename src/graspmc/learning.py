@@ -34,10 +34,6 @@ from .objects import ObjectModel
 from .targets import TargetFn
 from .vmf import VonMisesFisher, sample_vmf
 
-SIMILAR_OBJECT_MODES = "similar_object_modes"
-ACTUAL_OBJECT_MODES = "actual_object_modes"
-
-
 class Tally(NamedTuple):
     success: int
     slipped: int
@@ -84,9 +80,6 @@ class LearnedModel:
     regions: list[JumpRegion]
     config: dict = field(default_factory=dict)
     mode_densities: list[float] | None = None
-
-    def tally(self) -> Tally:
-        return tally_outcomes(self)
 
     def mode_qualities(self) -> list[float]:
         """Mode target densities on this model's object (0.0 if unknown)."""
@@ -265,8 +258,7 @@ def transfer_learn(
     novel_obj: ObjectModel,
     gripper: GripperModel,
     source: LearnedModel,
-    mode_source: str,
-    actual_modes: list[Grasp] | None,
+    modes: list[Grasp] | None,
     kameleon_config: KameleonConfig,
     darting_config: DartingConfig,
     iterations: int,
@@ -276,20 +268,15 @@ def transfer_learn(
     """Rerun the combined loop on a novel object, reusing the source chain.
 
     The reused chain states are the adaptation history (no sketch is
-    built); jump regions are centered on the chosen mode set using the
-    source chain covariance. Modes with zero density on the novel object
-    are retained as region centers, and the chain may start on one: the
-    zero-density acceptance rule lets it recover, or the run completes
+    built); jump regions are centered on `modes` (None: the source's modes)
+    using the source chain covariance. Modes with zero density on the novel
+    object are retained as region centers, and the chain may start on one:
+    the zero-density acceptance rule lets it recover, or the run completes
     with no successes, both valid outcomes.
     """
-    if mode_source not in (SIMILAR_OBJECT_MODES, ACTUAL_OBJECT_MODES):
-        raise ValueError(f"unknown mode source {mode_source!r}")
-    if mode_source == ACTUAL_OBJECT_MODES:
-        if not actual_modes:
-            raise InvalidDemonstration("actual-object modes requested but none provided")
-        modes = list(actual_modes)
-    else:
-        modes = list(source.modes)
+    modes = list(source.modes if modes is None else modes)
+    if not modes:
+        raise InvalidDemonstration("transfer needs at least one mode")
 
     chain = source.chain
     source_states = rows([*chain.seed_states, *chain.states])

@@ -16,14 +16,15 @@ from .errors import DecompositionFailure, NonSymmetricCovariance
 SYMMETRY_TOLERANCE = 1e-10
 
 
-def require_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOLERANCE) -> np.ndarray:
+def require_symmetric(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSymmetricCovariance(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
     gap = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if gap > tol * scale:
-        raise NonSymmetricCovariance(f"asymmetry {gap:g} exceeds tolerance {tol * scale:g}")
+    tol = SYMMETRY_TOLERANCE * scale
+    if gap > tol:
+        raise NonSymmetricCovariance(f"asymmetry {gap:g} exceeds tolerance {tol:g}")
     return a
 
 

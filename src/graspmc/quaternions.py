@@ -36,9 +36,9 @@ def canonicalize(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def is_canonical_unit(q: np.ndarray, tol: float = UNIT_TOLERANCE) -> bool:
+def is_canonical_unit(q: np.ndarray) -> bool:
     q = np.asarray(q, dtype=float)
-    if abs(float(np.linalg.norm(q)) - 1.0) > tol:
+    if abs(float(np.linalg.norm(q)) - 1.0) > UNIT_TOLERANCE:
         return False
     if q[0] > 0.0:
         return True

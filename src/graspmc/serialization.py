@@ -15,7 +15,7 @@ from .darting import JumpRegion
 from .errors import GraspMCError
 from .grasping import Grasp
 from .history import MOVE_DTYPE, OUTCOME_CODES, OUTCOME_LABELS, ChainHistory, rows
-from .learning import LearnedModel
+from .learning import LearnedModel, RoughSketch
 
 MODEL_SCHEMA = "graspmc.model/1"
 
@@ -136,7 +136,7 @@ def model_from_document(text: str) -> LearnedModel:
 SKETCH_SCHEMA = "graspmc.sketch/1"
 
 
-def sketch_to_document(sketch) -> str:
+def sketch_to_document(sketch: RoughSketch) -> str:
     doc = {
         "schema": SKETCH_SCHEMA,
         "source_object": sketch.source_object,
@@ -147,9 +147,7 @@ def sketch_to_document(sketch) -> str:
     return json.dumps(doc)
 
 
-def sketch_from_document(text: str):
-    from .learning import RoughSketch
-
+def sketch_from_document(text: str) -> RoughSketch:
     doc = json.loads(text)
     if doc.get("schema") != SKETCH_SCHEMA:
         raise ValueError(f"unsupported sketch schema {doc.get('schema')!r}")

@@ -1,12 +1,21 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from graspmc import experiments
+from graspmc import experiments, learning
+from graspmc import quaternions as quat
 from graspmc.cli import main as cli_main
-from graspmc.errors import DemonstrationFailure, GraspMCError, InvalidConfig, MissingSourceModel
+from graspmc.errors import (
+    DemonstrationFailure,
+    GraspMCError,
+    InvalidConfig,
+    InvalidDemonstration,
+    MissingSourceModel,
+)
 from graspmc.experiments import (
     ACTIVE_BIASED_INIT,
     ACTIVE_RANDOM_INIT,
@@ -14,6 +23,7 @@ from graspmc.experiments import (
     TRANSFER_ACTUAL_MODES,
     TRANSFER_SIMILAR_MODES,
     ExperimentConfig,
+    ResultRecord,
     emit_table,
     export_samples,
     result_from_document,
@@ -23,8 +33,8 @@ from graspmc.experiments import (
 from graspmc.grasping import DEFAULT_EVALUATION, EvaluationConfig, demonstrate_grasps
 from graspmc.gripper import GripperModel, default_gripper
 from graspmc.learning import Tally
-from graspmc.objects import get_object
-from graspmc.serialization import model_to_document
+from graspmc.objects import OBJECT_NAMES, get_object
+from graspmc.serialization import model_from_document, model_to_document, sketch_from_document
 
 SHORT = dict(iterations=60, burn_in=20)
 
@@ -167,6 +177,28 @@ class TestRunExperiment:
         assert record.tallies.total == 80
         assert all(d > 0.0 for d in model.mode_densities)
 
+    def test_modeless_source_fails_before_the_similar_modes_chain(self, monkeypatch):
+        _, source = run_experiment(
+            ExperimentConfig(experiment=ACTIVE_BIASED_INIT, object_name="plate", seed=6, **SHORT)
+        )
+        doc = json.loads(model_to_document(source))
+        doc["modes"], doc["mode_densities"] = [], []
+        modeless = model_from_document(json.dumps(doc))
+        actual = ExperimentConfig(
+            experiment=TRANSFER_ACTUAL_MODES, object_name="soup_plate", seed=6, **SHORT
+        )
+        # actual-object modes are the run's own demonstrations, so it still runs
+        record, _ = run_experiment(actual, source=modeless)
+        assert record.tallies.total == 80
+
+        def no_target(*args, **kwargs):
+            raise AssertionError("the transfer built its target")
+
+        monkeypatch.setattr(learning, "make_target", no_target)
+        similar = dataclasses.replace(actual, experiment=TRANSFER_SIMILAR_MODES)
+        with pytest.raises(InvalidDemonstration):
+            run_experiment(similar, source=modeless)
+
     def test_seeded_determinism(self):
         cfg = ExperimentConfig(
             experiment=ACTIVE_BIASED_INIT, object_name="plate", seed=9, **SHORT
@@ -198,12 +230,49 @@ class TestResultDocuments:
         assert clone.trace == record.trace
 
 
+    def test_document_text_is_pinned(self):
+        cfg = ExperimentConfig(experiment=ACTIVE_BIASED_INIT, object_name="plate", seed=3)
+        record = ResultRecord(
+            config=cfg.to_dict(),
+            tallies=Tally(417, 12, 30, 641),
+            duration_seconds=1.5,
+            sketch_evaluations=1100,
+            created="2026-01-01T00:00:00+00:00",
+        )
+        text = result_to_document(record)
+        assert text == (
+            '{"schema": "graspmc.result/1", "version": "0.1.0", '
+            '"created": "2026-01-01T00:00:00+00:00", "config": {"experiment": '
+            '"active-biased-init", "object_name": "plate", "seed": 3, "iterations": 1000, '
+            '"burn_in": 100, "gamma": 0.0001, "nu": 0.971630931303994, "subsample_size": 100, '
+            '"p_check": 0.6, "epsilon": 0.7, "scale_floor": 1e-06, "kappa": 50.0, '
+            '"position_sigma": 0.1, "demonstration_count": 5, "source_model": null, '
+            '"keep_trace": true}, "tallies": {"success": 417, "slipped": 12, "collision": 30, '
+            '"miss": 641}, "sketch_evaluations": 1100, "duration_seconds": 1.5, "trace": []}'
+        )
+        clone = result_from_document(text)
+        assert clone.tallies == record.tallies and clone.total == 1100
+
+
 class TestEmitTable:
     def fake_record(self, experiment, object_name, seed, tallies):
         cfg = ExperimentConfig(experiment=experiment, object_name=object_name, seed=seed)
-        from graspmc.experiments import ResultRecord
-
         return ResultRecord(config=cfg.to_dict(), tallies=Tally(*tallies))
+
+    def test_aligned_text_is_pinned(self):
+        records = [
+            self.fake_record(ACTIVE_BIASED_INIT, "plate", 3, (417, 12, 30, 641)),
+            self.fake_record(RANDOM_WALK_BASELINE, "soup_plate", 12, (0, 5, 1095, 0)),
+            self.fake_record(TRANSFER_ACTUAL_MODES, "pan", 0, (1100, 0, 0, 0)),
+        ]
+        _, table_text = emit_table(records)
+        assert table_text == (
+            "experiment             object      seed  success  slipped  collision  miss\n"
+            "---------------------  ----------  ----  -------  -------  ---------  ----\n"
+            "random-walk-baseline   soup_plate  12    0        5        1095       0   \n"
+            "active-biased-init     plate       3     417      12       30         641 \n"
+            "transfer-actual-modes  pan         0     1100     0        0          0   \n"
+        )
 
     def test_single_row_pass_through(self):
         record = self.fake_record(RANDOM_WALK_BASELINE, "plate", 0, (10, 20, 30, 1040))
@@ -302,6 +371,13 @@ class TestCli:
 
         record = result_from_document(result_path.read_text())
         assert record.tallies.total == 50
+        t = record.tallies
+        line = (
+            f"active-biased-init_plate_seed1: success={t.success} slipped={t.slipped} "
+            f"collision={t.collision} miss={t.miss} ("
+        )
+        out = capsys.readouterr().out
+        assert out.startswith(line) and re.fullmatch(r"\d+\.\ds\)\n", out[len(line):])
 
         cli_main(["report", str(result_path), "--csv", str(tmp_path / "t.csv")])
         captured = capsys.readouterr()
@@ -379,6 +455,72 @@ class TestCli:
         assert effective["iterations"] == 30
         assert effective["kappa"] == 25.0
         assert effective["burn_in"] == 5
+
+
+class TestCliVerbs:
+    def test_objects_lists_the_catalog(self, capsys):
+        cli_main(["objects"])
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == list(OBJECT_NAMES)
+        assert all(line.endswith(" mm") for line in lines)
+
+    def test_sketch_writes_its_proposals_with_the_default_scales(self, tmp_path, capsys):
+        out = tmp_path / "sketch.json"
+        cli_main(["sketch", "--object", "plate", "--seed", "0", "--iterations", "30",
+                  "--out", str(out)])
+        sketch = sketch_from_document(out.read_text())
+        assert len(sketch.proposals) == 30 and sketch.source_object == "plate"
+        assert sketch.position_sigma == 0.10 and sketch.kappa == 50.0
+        assert "30 proposals on plate" in capsys.readouterr().out
+
+    def test_demonstrate_writes_count_canonical_positive_grasps(self, tmp_path):
+        out = tmp_path / "demos.json"
+        cli_main(["demonstrate", "--object", "plate", "--seed", "0", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert doc["object"] == "plate"
+        assert len(doc["grasps"]) == 5  # ExperimentConfig.demonstration_count's default
+        for grasp in doc["grasps"]:
+            assert len(grasp["state"]) == 7 and quat.is_canonical_unit(grasp["state"][3:])
+            assert grasp["quality"] > 0.0
+        cli_main(["demonstrate", "--object", "plate", "--seed", "0", "--count", "2",
+                  "--out", str(out)])
+        assert json.loads(out.read_text())["grasps"] == doc["grasps"][:2]
+
+    def test_learn_sets_every_numeric_field(self, tmp_path):
+        values = {
+            "iterations": 12,
+            "burn_in": 4,
+            "gamma": 2e-4,
+            "nu": 0.5,
+            "subsample_size": 7,
+            "p_check": 0.5,
+            "epsilon": 0.6,
+            "scale_floor": 2e-6,
+            "kappa": 40.0,
+            "position_sigma": 0.05,
+            "demonstration_count": 2,
+        }
+        numeric = [
+            f.name for f in dataclasses.fields(ExperimentConfig)
+            if f.type in ("int", "float") and f.name != "seed"
+        ]
+        assert list(values) == numeric
+        defaults = ExperimentConfig(experiment=ACTIVE_BIASED_INIT, object_name="plate", seed=0)
+        assert all(getattr(defaults, name) != value for name, value in values.items())
+        flags = [
+            arg
+            for name, value in values.items()
+            for arg in (f"--{name.replace('_', '-')}", str(value))
+        ]
+        out = tmp_path / "runs"
+        cli_main(["learn", "--experiment", ACTIVE_BIASED_INIT, "--object", "plate", "--seed", "3",
+                  *flags, "--out-dir", str(out)])
+        effective = json.loads((out / "active-biased-init_plate_seed3.config.json").read_text())
+        assert {name: effective[name] for name in values} == values
+        record = result_from_document(
+            (out / "active-biased-init_plate_seed3.result.json").read_text()
+        )
+        assert record.total == 16 and record.sketch_evaluations == 16
 
 
 class TestDemonstrationMemo:

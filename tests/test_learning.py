@@ -6,18 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graspmc import learning
 from graspmc import quaternions as quat
 from graspmc.darting import DartingConfig, build_jump_region
 from graspmc.errors import GraspMCError, InvalidDemonstration
-from graspmc.grasping import Grasp, demonstrate_grasps, make_target
+from graspmc.grasping import OUTCOME_KINDS, Grasp, demonstrate_grasps, make_target
 from graspmc.gripper import default_gripper
 from graspmc.history import MOVE_DTYPE, ChainHistory, rows
 from graspmc.kameleon import KameleonConfig
 from graspmc.learning import (
-    ACTUAL_OBJECT_MODES,
-    SIMILAR_OBJECT_MODES,
     LearnedModel,
     RoughSketch,
+    Tally,
     active_learn,
     build_rough_sketch,
     random_sketch,
@@ -198,6 +198,10 @@ class TestSyntheticCombined:
 
 
 class TestTallies:
+    def test_fields_are_the_outcome_kinds_in_code_order(self):
+        # tally_outcomes bincounts the outcome codes into Tally's fields
+        assert Tally._fields == OUTCOME_KINDS
+
     def test_empty_history_all_zero(self):
         assert tally_outcomes(ChainHistory()) == (0, 0, 0, 0)
 
@@ -233,7 +237,7 @@ class TestTransfer:
     def test_similar_modes_keep_source_modes(self):
         source = self.make_source()
         model = transfer_learn(
-            get_object("soup_plate"), GRIPPER, source, SIMILAR_OBJECT_MODES, None,
+            get_object("soup_plate"), GRIPPER, source, None,
             KAMELEON, DARTING, 80, np.random.default_rng(3),
         )
         assert len(model.regions) == len(source.modes)
@@ -245,15 +249,41 @@ class TestTransfer:
         source = self.make_source()
         with pytest.raises(InvalidDemonstration):
             transfer_learn(
-                get_object("soup_plate"), GRIPPER, source, ACTUAL_OBJECT_MODES, None,
+                get_object("soup_plate"), GRIPPER, source, [],
                 KAMELEON, DARTING, 40, np.random.default_rng(0),
             )
+
+    def test_empty_mode_list_rejected_before_any_evaluation(self, monkeypatch):
+        modeless = dataclasses.replace(self.make_source(), modes=[])
+
+        def no_target(*args, **kwargs):
+            raise AssertionError("the transfer built its target")
+
+        monkeypatch.setattr(learning, "make_target", no_target)
+        for modes in ([], None):
+            with pytest.raises(InvalidDemonstration):
+                transfer_learn(
+                    get_object("soup_plate"), GRIPPER, modeless, modes,
+                    KAMELEON, DARTING, 40, np.random.default_rng(0),
+                )
+
+    def test_given_modes_replace_the_source_modes(self):
+        source = self.make_source()
+        fresh = plate_demos(1, count=2)
+        model = transfer_learn(
+            get_object("plate"), GRIPPER, source, fresh, KAMELEON, DARTING, 40,
+            np.random.default_rng(5),
+        )
+        assert [m.to_vector().tolist() for m in model.modes] == [
+            m.to_vector().tolist() for m in fresh
+        ]
+        assert len(model.regions) == 2
 
     def test_accepted_transfer_states_have_positive_density(self):
         source = self.make_source()
         novel = get_object("soup_plate")
         model = transfer_learn(
-            novel, GRIPPER, source, SIMILAR_OBJECT_MODES, None, KAMELEON, DARTING, 120,
+            novel, GRIPPER, source, None, KAMELEON, DARTING, 120,
             np.random.default_rng(4),
         )
         target = make_target(novel, GRIPPER)
@@ -278,7 +308,7 @@ class TestTransfer:
             np.random.default_rng(12),
         )
         model = transfer_learn(
-            get_object("tall_pitcher"), GRIPPER, source, SIMILAR_OBJECT_MODES, None,
+            get_object("tall_pitcher"), GRIPPER, source, None,
             KAMELEON, DARTING, 120, np.random.default_rng(13),
         )
         tally = tally_outcomes(model)
