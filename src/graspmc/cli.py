@@ -140,7 +140,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
 
 def _cmd_export(args: argparse.Namespace) -> None:
     model = model_from_document(Path(args.model).read_text(encoding="utf-8"))
-    doc = export_samples(model, default_gripper(), success_only=args.success_only)
+    doc = export_samples(model, success_only=args.success_only)
     Path(args.out).write_text(doc, encoding="utf-8")
     print(f"wrote {args.out}")
 

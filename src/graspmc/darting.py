@@ -58,8 +58,19 @@ class JumpRegion:
     def dim(self) -> int:
         return self.center.size
 
-    def semi_axes(self) -> np.ndarray:
-        return self.epsilon * self.scales
+
+def symmetric_acceptance(proposal_density: float, current_density: float) -> float:
+    """min(1, p/c) for a symmetric proposal.
+
+    A zero-density proposal is always rejected; a zero-density current
+    state (legal only at initialization) accepts any positive-density
+    proposal, letting a chain recover into the support.
+    """
+    if proposal_density <= 0.0:
+        return 0.0
+    if current_density <= 0.0:
+        return 1.0
+    return min(1.0, proposal_density / current_density)
 
 
 def ellipsoid_volume(dim: int, epsilon: float, scales: np.ndarray) -> float:
@@ -165,11 +176,10 @@ def darting_step(
 
     n_current = len(containing)
     n_proposal = containing_count(regions, proposal)
-
-    if proposal_density <= 0.0 or n_proposal == 0:
-        alpha = 0.0
-    elif current_density <= 0.0:
-        alpha = 1.0
-    else:
-        alpha = min(1.0, (n_current * proposal_density) / (n_proposal * float(current_density)))
+    # symmetric in the count-weighted densities; a proposal canonicalised out
+    # of every region has no reverse jump
+    alpha = (
+        0.0 if n_proposal == 0
+        else symmetric_acceptance(n_current * proposal_density, n_proposal * current_density)
+    )
     return DartingStep(bool(rng.uniform() < alpha), proposal, proposal_density, value.outcome)

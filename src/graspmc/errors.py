@@ -1,4 +1,10 @@
-"""Exception types raised across the library."""
+"""Exception types raised across the library, and the one reader of JSON
+documents, which raises them."""
+
+import json
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 
 class GraspMCError(Exception):
@@ -39,3 +45,25 @@ class MissingSourceModel(GraspMCError):
 
 class InvalidConfig(GraspMCError, ValueError):
     """An experiment config field has the wrong type or lies out of range."""
+
+
+class InvalidDocument(GraspMCError, ValueError):
+    """A JSON document is malformed, of another schema, or lacks a field."""
+
+
+def read_document(text: str, schema: str, build: Callable[[dict], T]) -> T:
+    """`build(doc)` for the JSON object `text` of this schema.
+
+    Bad JSON, a non-object, another schema, or a KeyError, TypeError,
+    IndexError or ValueError inside `build` raise InvalidDocument; a
+    GraspMCError that `build` raises passes through unchanged.
+    """
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict) or doc.get("schema") != schema:
+            raise InvalidDocument(f"not a {schema} document")
+        return build(doc)
+    except GraspMCError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise InvalidDocument(f"malformed {schema} document: {exc!r}") from exc

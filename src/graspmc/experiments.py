@@ -26,8 +26,8 @@ import numpy as np
 
 from . import __version__
 from .darting import DartingConfig
-from .errors import InvalidConfig, MissingSourceModel
-from .grasping import DEFAULT_EVALUATION, EvaluationConfig, Grasp, demonstrate_grasps
+from .errors import InvalidConfig, MissingSourceModel, read_document
+from .grasping import Grasp, demonstrate_grasps
 from .gripper import GripperModel, default_gripper
 from .history import OUTCOME_LABELS, ChainHistory
 from .kameleon import KameleonConfig
@@ -59,7 +59,7 @@ EXPERIMENTS = (
     TRANSFER_ACTUAL_MODES,
 )
 TRANSFER_EXPERIMENTS = (TRANSFER_SIMILAR_MODES, TRANSFER_ACTUAL_MODES)
-# (object, seed, count, gripper, evaluation) searches kept: only the last. The
+# (object, seed, count, gripper) searches kept: only the last. The
 # presets of one seed on one object run one after another and share it; a
 # longer-lived cache would make a repeated sweep cheaper than its first pass.
 DEMONSTRATION_CACHE_SIZE = 1
@@ -172,12 +172,9 @@ class ResultRecord:
 
     @staticmethod
     def from_dict(doc: dict) -> "ResultRecord":
-        if doc.get("schema") != RESULT_SCHEMA:
-            raise ValueError(f"unsupported result schema {doc.get('schema')!r}")
-        t = doc["tallies"]
         return ResultRecord(
             config=doc["config"],
-            tallies=Tally._make(t[name] for name in Tally._fields),
+            tallies=Tally._make(doc["tallies"][name] for name in Tally._fields),
             trace=doc.get("trace", []),
             duration_seconds=doc.get("duration_seconds", 0.0),
             sketch_evaluations=doc.get("sketch_evaluations", 0),
@@ -198,7 +195,6 @@ def _demonstrations(
     seed: int,
     count: int,
     gripper: GripperModel,
-    eval_config: EvaluationConfig,
 ) -> tuple[Grasp, ...]:
     """The demonstrations of every run with this object and seed, searched
     once for consecutive runs that share them and handed out with read-only
@@ -211,7 +207,7 @@ def _demonstrations(
     rng = _phase_rngs(seed)["demonstrations"]
     grasps = tuple(
         grasp
-        for grasp, _ in demonstrate_grasps(get_object(object_name), gripper, count, rng, eval_config)
+        for grasp, _ in demonstrate_grasps(get_object(object_name), gripper, count, rng)
     )
     for grasp in grasps:
         grasp.position.flags.writeable = False
@@ -241,7 +237,6 @@ def run_experiment(
     config: ExperimentConfig,
     *,
     gripper: GripperModel | None = None,
-    eval_config: EvaluationConfig = DEFAULT_EVALUATION,
     source: LearnedModel | None = None,
 ) -> tuple[ResultRecord, LearnedModel | None]:
     """Execute one preset end to end; returns the record and, for presets
@@ -263,9 +258,7 @@ def run_experiment(
             source = model_from_document(fh.read())
     if config.experiment != TRANSFER_SIMILAR_MODES:
         demos = list(
-            _demonstrations(
-                config.object_name, config.seed, config.demonstration_count, gripper, eval_config
-            )
+            _demonstrations(config.object_name, config.seed, config.demonstration_count, gripper)
         )
 
     if config.experiment in (RANDOM_WALK_BASELINE, ACTIVE_BIASED_INIT):
@@ -280,14 +273,11 @@ def run_experiment(
             config.position_sigma,
             config.kappa,
             rngs[walk],
-            eval_config,
             history=history,
         )
     elif config.experiment == ACTIVE_RANDOM_INIT:
-        sketch = random_sketch(obj, gripper, total, rngs["sketch"], eval_config)
-    chain_args = (
-        config.kameleon(), config.darting(), config.iterations, rngs["chain"], eval_config
-    )
+        sketch = random_sketch(obj, gripper, total, rngs["sketch"])
+    chain_args = (config.kameleon(), config.darting(), config.iterations, rngs["chain"])
     if config.experiment in TRANSFER_EXPERIMENTS:
         modes = demos if config.experiment == TRANSFER_ACTUAL_MODES else None
         model = transfer_learn(obj, gripper, source, modes, *chain_args)
@@ -340,19 +330,14 @@ def emit_table(records: list[ResultRecord]) -> tuple[str, str]:
     return csv_text, "\n".join(lines) + "\n"
 
 
-def export_samples(
-    model: LearnedModel,
-    gripper: GripperModel | None = None,
-    *,
-    success_only: bool = False,
-) -> str:
+def export_samples(model: LearnedModel, *, success_only: bool = False) -> str:
     """Plot-ready grasp cloud: demonstrated modes plus chain proposals.
 
     Each record carries the pose, a gripper-orientation segment along the
     approach axis, a span segment along the closing axis, the quality, and
     a demonstrated/learned tag.
     """
-    gripper = gripper or default_gripper()
+    gripper = default_gripper()
     records = []
 
     def add(grasp: Grasp, quality: float, category: str) -> None:
@@ -396,4 +381,4 @@ def result_to_document(record: ResultRecord) -> str:
 
 
 def result_from_document(text: str) -> ResultRecord:
-    return ResultRecord.from_dict(json.loads(text))
+    return read_document(text, RESULT_SCHEMA, ResultRecord.from_dict)

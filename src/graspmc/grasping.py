@@ -244,11 +244,7 @@ def _grip(
 TARGET_MEMO_SIZE = 256  # most recent states whose values a target remembers
 
 
-def make_target(
-    obj: ObjectModel,
-    gripper: GripperModel,
-    config: EvaluationConfig = DEFAULT_EVALUATION,
-) -> TargetFn:
+def make_target(obj: ObjectModel, gripper: GripperModel) -> TargetFn:
     """Unnormalized grasp density: the quality proxy, zero on any failure.
 
     The target remembers the values of the last TARGET_MEMO_SIZE finite
@@ -261,7 +257,7 @@ def make_target(
     @lru_cache(maxsize=TARGET_MEMO_SIZE)
     def evaluate(shape: tuple[int, ...], data: bytes) -> TargetValue:
         state = np.frombuffer(data).reshape(shape)
-        outcome = evaluate_grasp(Grasp.from_vector(state), obj, gripper, config)
+        outcome = evaluate_grasp(Grasp.from_vector(state), obj, gripper)
         return TargetValue(outcome.quality, outcome.kind)
 
     def density(state: np.ndarray) -> TargetValue:

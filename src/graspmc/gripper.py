@@ -43,13 +43,6 @@ class GripperModel:
             (np.array([-finger_x, 0.0, 0.0]), np.array([half_w, half_w, half_len])),
         ]
 
-    def reach(self) -> float:
-        """Farthest body point from the tool center point."""
-        return max(
-            float(np.linalg.norm(center) + np.linalg.norm(half))
-            for center, half in self.body_boxes()
-        )
-
 
 @lru_cache(maxsize=8)
 def _probe_lattice(gripper: GripperModel, pitch: float) -> np.ndarray:

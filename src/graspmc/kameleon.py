@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .darting import DartingConfig, JumpRegion, darting_step
+from .darting import DartingConfig, JumpRegion, darting_step, symmetric_acceptance
 from .errors import EmptyHistory
 from .history import MOVE_DTYPE, OUTCOME_CODES, ChainHistory
 from .kernels import GaussianKernel, median_bandwidth
@@ -43,7 +43,6 @@ class KameleonConfig:
     nu: float
     subsample_size: int
     burn_in: int = 0
-    kernel: GaussianKernel | None = None  # None -> median heuristic per adaptation
 
     def __post_init__(self) -> None:
         if self.gamma <= 0.0:
@@ -116,20 +115,6 @@ def covariance_at(
 ) -> np.ndarray:
     m = kernel_gradient_matrix(subsample, point, kernel)
     return proposal_covariance(m, config)
-
-
-def symmetric_acceptance(proposal_density: float, current_density: float) -> float:
-    """min(1, p/c) for a symmetric proposal.
-
-    A zero-density proposal is always rejected; a zero-density current
-    state (legal only at initialization) accepts any positive-density
-    proposal, letting a chain recover into the support.
-    """
-    if proposal_density <= 0.0:
-        return 0.0
-    if current_density <= 0.0:
-        return 1.0
-    return min(1.0, proposal_density / current_density)
 
 
 def kameleon_step(
@@ -239,8 +224,7 @@ def _run_chain(
     seed_rows = h.seed_proposals if h.proposal_sourced else h.seed_states
     pool = np.concatenate([seed_rows.reshape(-1, dim), np.empty((iterations, dim))])
     seeded = len(seed_rows)
-    subsample = ()
-    kernel = kameleon.kernel if kameleon is not None else None
+    subsample, kernel = (), None
     factored = None  # the current state's, under this subsample and kernel
     for t in range(iterations):
         if (
@@ -250,7 +234,7 @@ def _run_chain(
             and seeded + t > 0
         ):
             subsample = subsample_history(pool[: seeded + t], kameleon.subsample_size, rng)
-            kernel = kameleon.kernel or GaussianKernel(median_bandwidth(subsample))
+            kernel = GaussianKernel(median_bandwidth(subsample))
             factored = None
         if darting is not None and rng.uniform() >= darting.p_check and regions:
             jump = darting_step(

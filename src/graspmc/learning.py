@@ -17,19 +17,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import quaternions as quat
-from .darting import DartingConfig, JumpRegion, build_jump_region
+from .darting import DartingConfig, JumpRegion, build_jump_region, symmetric_acceptance
 from .errors import InvalidDemonstration
-from .grasping import (
-    DEFAULT_EVALUATION,
-    EvaluationConfig,
-    Grasp,
-    canonicalize_grasp_vector,
-    make_target,
-    workspace_bounds,
-)
+from .grasping import Grasp, canonicalize_grasp_vector, make_target, workspace_bounds
 from .gripper import GripperModel
 from .history import ChainHistory, rows
-from .kameleon import KameleonConfig, LocalStep, _run_chain, symmetric_acceptance
+from .kameleon import KameleonConfig, LocalStep, _run_chain
 from .objects import ObjectModel
 from .targets import TargetFn
 from .vmf import VonMisesFisher, sample_vmf
@@ -60,9 +53,6 @@ class RoughSketch:
     def __post_init__(self) -> None:
         if not len(self.proposals):
             raise ValueError("a rough sketch must contain at least one proposal")
-
-    def covariance(self) -> np.ndarray:
-        return _state_covariance(self.proposals)
 
 
 def _state_covariance(states: np.ndarray) -> np.ndarray:
@@ -102,7 +92,6 @@ def build_rough_sketch(
     position_sigma: float,
     kappa: float,
     rng: np.random.Generator,
-    eval_config: EvaluationConfig = DEFAULT_EVALUATION,
     *,
     history: ChainHistory | None = None,
 ) -> RoughSketch:
@@ -114,7 +103,7 @@ def build_rough_sketch(
     experiment does to tally it), and the sketch's proposals are that
     history's proposal rows.
     """
-    target = make_target(obj, gripper, eval_config)
+    target = make_target(obj, gripper)
 
     def walk(current: np.ndarray, density: float) -> LocalStep:
         position = current[:3] + position_sigma * rng.standard_normal(3)
@@ -142,7 +131,6 @@ def random_sketch(
     gripper: GripperModel,
     size: int,
     rng: np.random.Generator,
-    eval_config: EvaluationConfig = DEFAULT_EVALUATION,
 ) -> RoughSketch:
     """Uniform poses over the workspace box: a sketch with no target signal.
 
@@ -150,7 +138,7 @@ def random_sketch(
     the pipeline reads sketch densities, and evaluating them would silently
     double the experiment's evaluation budget.
     """
-    lo, hi = workspace_bounds(obj, gripper, eval_config)
+    lo, hi = workspace_bounds(obj, gripper)
     states = [np.concatenate([rng.uniform(lo, hi), quat.random_uniform(rng)]) for _ in range(size)]
     return RoughSketch(
         rows(states), np.zeros(size), np.zeros(size, bool), np.full(size, -1, np.int8),
@@ -225,7 +213,6 @@ def active_learn(
     darting_config: DartingConfig,
     iterations: int,
     rng: np.random.Generator,
-    eval_config: EvaluationConfig = DEFAULT_EVALUATION,
 ) -> LearnedModel:
     """Sketch-initialized combined run with demonstrations as jump modes.
 
@@ -235,7 +222,7 @@ def active_learn(
     """
     if not demonstrations:
         raise InvalidDemonstration("at least one demonstrated grasp is required")
-    target = make_target(obj, gripper, eval_config)
+    target = make_target(obj, gripper)
     mode_densities = [float(target(demo.to_vector()).density) for demo in demonstrations]
     if min(mode_densities) <= 0.0:
         raise InvalidDemonstration(f"demonstration has zero density on {obj.name}")
@@ -249,7 +236,7 @@ def active_learn(
     )
     history.seed_state(rows([demo.to_vector() for demo in demonstrations]), mode_densities)
     return _learn(
-        obj, target, demonstrations, mode_densities, sketch.covariance(), history,
+        obj, target, demonstrations, mode_densities, _state_covariance(sketch.proposals), history,
         kameleon_config, darting_config, iterations, rng,
     )
 
@@ -263,7 +250,6 @@ def transfer_learn(
     darting_config: DartingConfig,
     iterations: int,
     rng: np.random.Generator,
-    eval_config: EvaluationConfig = DEFAULT_EVALUATION,
 ) -> LearnedModel:
     """Rerun the combined loop on a novel object, reusing the source chain.
 
@@ -285,7 +271,7 @@ def transfer_learn(
     history = ChainHistory(proposal_sourced=False)
     history.seed_state(source_states, np.concatenate([chain.seed_densities, chain.densities]))
 
-    target = make_target(novel_obj, gripper, eval_config)
+    target = make_target(novel_obj, gripper)
     mode_densities = [float(target(mode.to_vector()).density) for mode in modes]
     return _learn(
         novel_obj, target, modes, mode_densities, _state_covariance(source_states), history,

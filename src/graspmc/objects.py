@@ -16,6 +16,7 @@ import numpy as np
 
 from . import quaternions as quat
 from . import sdf
+from .errors import read_document
 
 CATALOG_SCHEMA = "graspmc.objects/1"
 
@@ -164,7 +165,6 @@ def catalog_to_document(objects: list[ObjectModel] | None = None) -> str:
 
 
 def catalog_from_document(text: str) -> list[ObjectModel]:
-    doc = json.loads(text)
-    if doc.get("schema") != CATALOG_SCHEMA:
-        raise ValueError(f"unsupported catalog schema {doc.get('schema')!r}")
-    return [ObjectModel.from_dict(entry) for entry in doc["objects"]]
+    return read_document(
+        text, CATALOG_SCHEMA, lambda doc: [ObjectModel.from_dict(entry) for entry in doc["objects"]]
+    )

@@ -112,9 +112,3 @@ def random_uniform(rng: np.random.Generator) -> np.ndarray:
         raw = rng.standard_normal(4)
         if np.linalg.norm(raw) > 1e-12:
             return canonicalize(raw)
-
-
-def geodesic_angle(a: np.ndarray, b: np.ndarray) -> float:
-    """Angle between two unit quaternions on S^3, double-cover aware."""
-    dot = min(1.0, abs(float(np.dot(a, b))))
-    return float(np.arccos(dot))

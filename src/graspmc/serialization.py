@@ -12,7 +12,7 @@ import numpy as np
 
 from . import quaternions as quat
 from .darting import JumpRegion
-from .errors import GraspMCError
+from .errors import GraspMCError, read_document
 from .grasping import Grasp
 from .history import MOVE_DTYPE, OUTCOME_CODES, OUTCOME_LABELS, ChainHistory, rows
 from .learning import LearnedModel, RoughSketch
@@ -119,9 +119,10 @@ def model_to_document(model: LearnedModel) -> str:
 
 
 def model_from_document(text: str) -> LearnedModel:
-    doc = json.loads(text)
-    if doc.get("schema") != MODEL_SCHEMA:
-        raise ValueError(f"unsupported model schema {doc.get('schema')!r}")
+    return read_document(text, MODEL_SCHEMA, _model_from_dict)
+
+
+def _model_from_dict(doc: dict) -> LearnedModel:
     densities = doc.get("mode_densities")
     return LearnedModel(
         doc["object"],
@@ -148,12 +149,13 @@ def sketch_to_document(sketch: RoughSketch) -> str:
 
 
 def sketch_from_document(text: str) -> RoughSketch:
-    doc = json.loads(text)
-    if doc.get("schema") != SKETCH_SCHEMA:
-        raise ValueError(f"unsupported sketch schema {doc.get('schema')!r}")
-    return RoughSketch(
-        *_columns(doc["proposals"]),
-        doc["source_object"],
-        float(doc["position_sigma"]),
-        float(doc["kappa"]),
+    return read_document(
+        text,
+        SKETCH_SCHEMA,
+        lambda doc: RoughSketch(
+            *_columns(doc["proposals"]),
+            doc["source_object"],
+            float(doc["position_sigma"]),
+            float(doc["kappa"]),
+        ),
     )

@@ -14,6 +14,7 @@ from graspmc.darting import (
     select_jump_target,
 )
 from graspmc.errors import NoRegions
+from graspmc.grasping import canonicalize_grasp_vector
 from graspmc.targets import TargetValue, gaussian_mixture_target
 
 
@@ -90,7 +91,7 @@ class TestMembership:
         cov = a @ a.T
         region = region_at([0.0, 0.0, 0.0], cov, eps=0.9)
         # boundary point along the first axis
-        boundary = region.rotation[:, 0] * region.semi_axes()[0]
+        boundary = region.rotation[:, 0] * (region.epsilon * region.scales)[0]
         assert contains_state(region, boundary * 0.999)
         assert not contains_state(region, boundary * 1.001)
 
@@ -222,11 +223,103 @@ class TestMembershipNorm:
         a = rng.standard_normal((dim, dim))
         region = region_at(rng.standard_normal(dim), a @ a.T + 1e-3 * np.eye(dim), eps=epsilon)
         points = [region.center + rng.standard_normal(dim) * rng.uniform(0.1, 3.0) for _ in range(20)]
+        semi_axes = region.epsilon * region.scales
         for axis in range(dim):  # exactly on the boundary along each axis, both ways
             for sign in (1.0, -1.0):
-                edge = region.center + sign * region.rotation[:, axis] * region.semi_axes()[axis]
+                edge = region.center + sign * region.rotation[:, axis] * semi_axes[axis]
                 points += [edge, np.nextafter(edge, edge + sign), np.nextafter(edge, edge - sign)]
         for x in points:
             w = (region.rotation.T @ (x - region.center)) / region.scales
             assert np.sqrt(w @ w).tobytes() == np.linalg.norm(w).tobytes()
             assert contains_state(region, x) == self.norm_decision(region, x)
+
+
+def four_branch_alpha(n_current, n_proposal, proposal_density, current_density):
+    """The jump acceptance as darting_step once wrote it, branch by branch."""
+    if proposal_density <= 0.0 or n_proposal == 0:
+        return 0.0
+    if current_density <= 0.0:
+        return 1.0
+    return min(1.0, (n_current * proposal_density) / (n_proposal * float(current_density)))
+
+
+class ProbedRng:
+    """Real draws, except that the acceptance uniform (the second uniform of
+    a jump attempt) is this probe, which records the alpha it is compared with."""
+
+    def __init__(self, seed):
+        self.rng, self.uniforms, self.alpha = np.random.default_rng(seed), 0, None
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+    def uniform(self):
+        self.uniforms += 1
+        return self.rng.uniform() if self.uniforms == 1 else self
+
+    def __lt__(self, alpha):
+        self.alpha = alpha
+        return False
+
+
+# grasp-vector modes: A and B overlap and sit next to the w = 0 boundary, so a
+# reflected jump there can canonicalise to the far side of the double cover
+GRASP_CENTERS = np.array([
+    [0.0, 0.0, 0.0, 0.002, 1.0, 0.0, 0.0],
+    [0.04, 0.0, 0.0, 0.002, 1.0, 0.0, 0.0],
+    [0.3, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+])
+GRASP_EPSILON = 5.0  # semi-axes 0.05 on the covariance 0.01 I
+
+
+class TestJumpAcceptance:
+    """darting_step's alpha is the four-branch rule, bit for bit."""
+
+    @staticmethod
+    def probe(centers, start, offset, proposal_density, current_density, seed):
+        regions = [region_at(c, 0.01 * np.eye(7), eps=GRASP_EPSILON) for c in centers]
+        current = centers[start] + np.asarray(offset)
+        rng = ProbedRng(seed)
+        step = darting_step(
+            current, current_density, regions, lambda state: TargetValue(proposal_density, None),
+            DartingConfig(0.6, GRASP_EPSILON), rng, postprocess=canonicalize_grasp_vector,
+        )
+        assert not step.jumped
+        counts = containing_count(regions, current), containing_count(regions, step.proposal)
+        return rng.alpha, four_branch_alpha(*counts, proposal_density, current_density), counts
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.integers(0, 2),
+        offset=st.lists(st.floats(-0.018, 0.018), min_size=7, max_size=7),
+        proposal_density=st.just(0.0) | st.floats(0.0, 1e3),
+        current_density=st.just(0.0) | st.floats(0.0, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_four_branch_rule(
+        self, start, offset, proposal_density, current_density, seed
+    ):
+        alpha, expected, _ = self.probe(
+            GRASP_CENTERS, start, offset, proposal_density, current_density, seed
+        )
+        assert float(alpha).hex() == float(expected).hex()
+
+    @pytest.mark.parametrize(
+        "proposal_density, current_density", [(0.0, 2.0), (1.5, 0.0), (1.5, 2.0), (0.0, 0.0)]
+    )
+    def test_zero_densities(self, proposal_density, current_density):
+        offset = [0.01, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        alpha, expected, counts = self.probe(
+            GRASP_CENTERS[2:], 0, offset, proposal_density, current_density, 0
+        )
+        assert counts == (1, 1)
+        assert float(alpha).hex() == float(expected).hex()
+        assert alpha == (0.0 if proposal_density == 0.0 else 1.0 if current_density == 0.0 else 0.75)
+
+    def test_canonicalised_out_of_every_region(self):
+        offset = np.array([0.0, 0.0, 0.0, 0.005, 0.0, 0.0, 0.0])
+        region = region_at(GRASP_CENTERS[0], 0.01 * np.eye(7), eps=GRASP_EPSILON)
+        assert contains_state(region, GRASP_CENTERS[0] - offset)  # the raw reflection
+        alpha, expected, counts = self.probe(GRASP_CENTERS[:1], 0, offset, 1.5, 2.0, 0)
+        assert counts == (1, 0)
+        assert alpha == expected == 0.0

@@ -14,7 +14,9 @@ from graspmc.errors import (
     GraspMCError,
     InvalidConfig,
     InvalidDemonstration,
+    InvalidDocument,
     MissingSourceModel,
+    read_document,
 )
 from graspmc.experiments import (
     ACTIVE_BIASED_INIT,
@@ -30,10 +32,10 @@ from graspmc.experiments import (
     result_to_document,
     run_experiment,
 )
-from graspmc.grasping import DEFAULT_EVALUATION, EvaluationConfig, demonstrate_grasps
+from graspmc.grasping import demonstrate_grasps
 from graspmc.gripper import GripperModel, default_gripper
 from graspmc.learning import Tally
-from graspmc.objects import OBJECT_NAMES, get_object
+from graspmc.objects import OBJECT_NAMES, catalog_from_document, get_object
 from graspmc.serialization import model_from_document, model_to_document, sketch_from_document
 
 SHORT = dict(iterations=60, burn_in=20)
@@ -210,6 +212,16 @@ class TestRunExperiment:
             a.pop(volatile), b.pop(volatile)
         assert a == b
 
+    def test_record_config_reruns_the_run(self):
+        """The config a record echoes is all a rerun needs."""
+        cfg = ExperimentConfig(experiment=ACTIVE_BIASED_INIT, object_name="plate", seed=9, **SHORT)
+        record = result_from_document(result_to_document(run_experiment(cfg)[0]))
+        rerun, _ = run_experiment(ExperimentConfig.from_dict(record.config))
+        a, b = record.to_dict(), rerun.to_dict()
+        for volatile in ("created", "duration_seconds"):
+            a.pop(volatile), b.pop(volatile)
+        assert a == b
+
     def test_no_trace_flag(self):
         cfg = ExperimentConfig(
             experiment=RANDOM_WALK_BASELINE, object_name="plate", seed=5, keep_trace=False, **SHORT
@@ -252,6 +264,65 @@ class TestResultDocuments:
         )
         clone = result_from_document(text)
         assert clone.tallies == record.tallies and clone.total == 1100
+
+
+# each reader with a document of its schema whose builder fails: a missing
+# field (KeyError), a field of the wrong type (TypeError) or value (ValueError)
+READERS = {
+    "result": (result_from_document, "graspmc.result/1", [
+        {"config": {}, "tallies": {"success": 1}},
+        {"config": {}, "tallies": [1, 2, 3, 4]},
+    ]),
+    "model": (model_from_document, "graspmc.model/1", [
+        {},
+        {"object": "plate", "modes": 3, "regions": [], "chain": {}},
+    ]),
+    "sketch": (sketch_from_document, "graspmc.sketch/1", [
+        {},
+        {"proposals": 5, "source_object": "plate", "position_sigma": 0.1, "kappa": 50.0},
+        {"proposals": [], "source_object": "plate", "position_sigma": 0.1, "kappa": 50.0},
+    ]),
+    "catalog": (catalog_from_document, "graspmc.objects/1", [
+        {},
+        {"objects": [{"name": "x", "sdf": {"type": "teapot"}, "bounds": {"lo": [0] * 3}}]},
+    ]),
+}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]", "null", '{"schema": "other/9"}'])
+    def test_not_a_document_of_the_schema(self, reader, text):
+        read, _, _ = READERS[reader]
+        with pytest.raises(InvalidDocument) as caught:
+            read(text)
+        assert isinstance(caught.value, GraspMCError) and isinstance(caught.value, ValueError)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_builder_failures(self, reader):
+        read, schema, docs = READERS[reader]
+        for doc in docs:
+            with pytest.raises(InvalidDocument) as caught:
+                read(json.dumps({"schema": schema, **doc}))
+            assert isinstance(caught.value.__cause__, (KeyError, TypeError, ValueError))
+
+    @pytest.mark.parametrize("error", [KeyError, TypeError, IndexError, ValueError])
+    def test_builder_error_is_wrapped(self, error):
+        def build(doc):
+            raise error("bad field")
+
+        with pytest.raises(InvalidDocument) as caught:
+            read_document('{"schema": "s/1"}', "s/1", build)
+        assert type(caught.value.__cause__) is error
+
+    @pytest.mark.parametrize("error", [GraspMCError, InvalidConfig, InvalidDemonstration])
+    def test_library_errors_pass_through(self, error):
+        def build(doc):
+            raise error("bad model")
+
+        with pytest.raises(error) as caught:
+            read_document('{"schema": "s/1"}', "s/1", build)
+        assert type(caught.value) is error
 
 
 class TestEmitTable:
@@ -549,21 +620,15 @@ class TestDemonstrationMemo:
 
     def test_memo_returns_the_search_result(self, searches):
         gripper = default_gripper()
-        grasps = experiments._demonstrations("plate", 4, 1, gripper, DEFAULT_EVALUATION)
+        grasps = experiments._demonstrations("plate", 4, 1, gripper)
         rng = experiments._phase_rngs(4)["demonstrations"]
-        fresh = demonstrate_grasps(get_object("plate"), gripper, 1, rng, DEFAULT_EVALUATION)
+        fresh = demonstrate_grasps(get_object("plate"), gripper, 1, rng)
         assert [g.to_vector().tolist() for g in grasps] == [g.to_vector().tolist() for g, _ in fresh]
 
     def test_key_changes_miss(self, searches):
         gripper = default_gripper()
         wider = GripperModel(0.07, gripper.finger_length, gripper.finger_width, gripper.palm_depth)
-        grippier = EvaluationConfig(friction_coefficient=0.6)
-        keys = [
-            ("plate", 4, 1, gripper, DEFAULT_EVALUATION),
-            ("plate", 4, 2, gripper, DEFAULT_EVALUATION),
-            ("plate", 4, 1, wider, DEFAULT_EVALUATION),
-            ("plate", 4, 1, gripper, grippier),
-        ]
+        keys = [("plate", 4, 1, gripper), ("plate", 4, 2, gripper), ("plate", 4, 1, wider)]
         for done, key in enumerate(keys, start=1):
             for _ in range(2):
                 experiments._demonstrations(*key)
@@ -572,7 +637,7 @@ class TestDemonstrationMemo:
     def test_only_the_last_search_is_kept(self, searches):
         gripper = default_gripper()
         for seed in (4, 5, 4):
-            experiments._demonstrations("plate", seed, 1, gripper, DEFAULT_EVALUATION)
+            experiments._demonstrations("plate", seed, 1, gripper)
         assert len(searches) == 3
 
     def test_failure_is_raised_on_every_call(self, monkeypatch, searches):

@@ -370,7 +370,7 @@ def cut_grasp_mixture(state):
     return GRASP_MIXTURE(state) if state[0] <= ZERO_CUT else TargetValue(0.0, None)
 
 
-def grasp_chain(seed, nu, burn_in, iterations, fixed_kernel, zero_start, p_check=0.6):
+def grasp_chain(seed, nu, burn_in, iterations, zero_start, p_check=0.6):
     """A combined chain on 7-D grasp vectors: three modes with regions that
     overlap a little, canonicalised proposals, and a start that is either a
     mode or a zero-density state."""
@@ -382,8 +382,7 @@ def grasp_chain(seed, nu, burn_in, iterations, fixed_kernel, zero_start, p_check
     start = GRASP_MODES[seed % 3].copy()
     if zero_start:
         start[0] = ZERO_CUT + 0.05
-    kernel = GaussianKernel(0.3) if fixed_kernel else None
-    cfg = KameleonConfig(gamma=0.05, nu=nu, subsample_size=6, burn_in=burn_in, kernel=kernel)
+    cfg = KameleonConfig(gamma=0.05, nu=nu, subsample_size=6, burn_in=burn_in)
     history = run_combined_chain(
         cut_grasp_mixture, start, iterations, cfg, DartingConfig(p_check, 0.6), regions, history,
         rng, postprocess=canonicalize_grasp_vector,
@@ -416,21 +415,20 @@ class TestCarriedFactor:
         nu=st.sampled_from([0.0, 0.5, 2.38 / np.sqrt(7)]),
         burn_in=st.sampled_from([0, 1, 3, 500]),
         iterations=st.integers(1, 80),
-        fixed_kernel=st.booleans(),
         zero_start=st.booleans(),
         p_check=st.sampled_from([0.0, 0.6, 1.0]),
     )
     def test_matches_the_uncarried_chain(
-        self, seed, nu, burn_in, iterations, fixed_kernel, zero_start, p_check
+        self, seed, nu, burn_in, iterations, zero_start, p_check
     ):
-        args = (seed, nu, burn_in, iterations, fixed_kernel, zero_start, p_check)
+        args = (seed, nu, burn_in, iterations, zero_start, p_check)
         carried = grasp_chain(*args)
         with mock.patch.object(kameleon, "kameleon_step", uncarried_kameleon_step):
             reference = grasp_chain(*args)
         assert_same_chain(carried, reference)
 
     def test_long_chain_covers_every_carry_case(self):
-        args = (3, 2.38 / np.sqrt(7), 40, 1500, False, True)
+        args = (3, 2.38 / np.sqrt(7), 40, 1500, True)
         carried = grasp_chain(*args)
         with mock.patch.object(kameleon, "kameleon_step", uncarried_kameleon_step):
             reference = grasp_chain(*args)

@@ -59,9 +59,3 @@ def test_multiply_composes_rotations():
 def test_axis_angle_quarter_turn():
     q = quat.from_axis_angle([0, 0, 1], np.pi / 2)
     np.testing.assert_allclose(quat.rotate_vector(q, [1, 0, 0]), [0, 1, 0], atol=1e-12)
-
-
-def test_geodesic_angle_double_cover_aware():
-    q = quat.canonicalize([0.9, 0.1, 0.2, 0.3])
-    assert quat.geodesic_angle(q, q) == pytest.approx(0.0, abs=1e-7)
-    assert quat.geodesic_angle(q, -q) == pytest.approx(0.0, abs=1e-7)
