@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields
 from numbers import Integral, Real
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidConfig
 from .experiments import (
     _FIELD_KINDS,
     ACTIVE_BIASED_INIT,
@@ -53,19 +55,29 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-trace", action="store_true", default=None)
 
 
-def _parse_seeds(args: argparse.Namespace) -> list[int]:
-    if args.seeds:
-        lo, _, hi = args.seeds.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    if args.seed is None:
-        raise SystemExit("--seed (or --seeds a..b) is required")
-    return [int(args.seed)]
+def _seed_range(text: str) -> range:
+    """--seeds: the inclusive range a..b of integers a <= b."""
+    match = re.fullmatch(r"([0-9]+)\.\.([0-9]+)", text)
+    if not match or int(match[1]) > int(match[2]):
+        raise argparse.ArgumentTypeError(f"expected a..b with integers a <= b, not {text!r}")
+    return range(int(match[1]), int(match[2]) + 1)
+
+
+def _add_seed_flags(parser: argparse.ArgumentParser) -> None:
+    seeds = parser.add_mutually_exclusive_group(required=True)
+    seeds.add_argument("--seed", type=int)
+    seeds.add_argument("--seeds", type=_seed_range, help="inclusive range a..b for sweeps")
 
 
 def _build_config(args: argparse.Namespace, experiment: str, seed: int) -> ExperimentConfig:
     doc: dict = {}
     if args.config:
-        doc.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        try:
+            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"--config {args.config} is not JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise InvalidConfig(f"--config {args.config} does not hold a JSON object")
     doc["experiment"] = experiment
     doc["object_name"] = args.object
     doc["seed"] = seed
@@ -122,7 +134,7 @@ def _cmd_demonstrate(args: argparse.Namespace) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> None:
     """learn and transfer: one run of the preset per seed."""
-    for seed in _parse_seeds(args):
+    for seed in args.seeds or [args.seed]:
         config = _build_config(args, args.experiment, seed)
         _run_and_write(config, Path(args.out_dir))
 
@@ -177,8 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("learn", help="run a baseline or active-learning preset")
     p.add_argument("--experiment", choices=LEARN_EXPERIMENTS, required=True)
     p.add_argument("--object", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--seeds", help="inclusive range a..b for sweeps")
+    _add_seed_flags(p)
     p.add_argument("--out-dir", default="results")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_run)
@@ -187,8 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--experiment", choices=TRANSFER_EXPERIMENTS, required=True)
     p.add_argument("--object", required=True, help="the novel object")
     p.add_argument("--source", required=True, help="LearnedModel JSON from a learn run")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--seeds", help="inclusive range a..b for sweeps")
+    _add_seed_flags(p)
     p.add_argument("--out-dir", default="results")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_run)

@@ -28,22 +28,19 @@ from .errors import NoRegions
 from .linalg import svd_symmetric
 from .targets import TargetFn
 
-SCALE_FLOOR = 1e-6
+SCALE_FLOOR = 1e-6  # least region eigenvalue; any positive floor keeps a jump invertible
 
 
 @dataclass(frozen=True)
 class DartingConfig:
     p_check: float
     epsilon: float
-    scale_floor: float = SCALE_FLOOR
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_check <= 1.0:
             raise ValueError("p_check must lie in [0, 1]")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-        if self.scale_floor <= 0.0:
-            raise ValueError("scale floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -84,21 +81,15 @@ def ellipsoid_volume(dim: int, epsilon: float, scales: np.ndarray) -> float:
     return math.exp(log_vol)
 
 
-def build_jump_region(
-    mode: np.ndarray,
-    chain_covariance: np.ndarray,
-    epsilon: float,
-    *,
-    scale_floor: float = SCALE_FLOOR,
-) -> JumpRegion:
+def build_jump_region(mode: np.ndarray, chain_covariance: np.ndarray, epsilon: float) -> JumpRegion:
     """Region around a mode from the chain covariance's eigendecomposition.
 
-    Eigenvalues are floored at scale_floor so the whitening in a jump stays
+    Eigenvalues are floored at SCALE_FLOOR so the whitening in a jump stays
     invertible even for rank-deficient covariances.
     """
     mode = np.asarray(mode, dtype=float)
     rotation, eigenvalues = svd_symmetric(chain_covariance)
-    scales = np.maximum(eigenvalues, scale_floor)
+    scales = np.maximum(eigenvalues, SCALE_FLOOR)
     volume = ellipsoid_volume(mode.size, epsilon, scales)
     return JumpRegion(mode, rotation, scales, float(epsilon), volume)
 

@@ -86,7 +86,6 @@ class ExperimentConfig:
     subsample_size: int = 100
     p_check: float = 0.6
     epsilon: float = 0.7
-    scale_floor: float = 1e-6
     kappa: float = 50.0
     position_sigma: float = 0.10
     demonstration_count: int = 5
@@ -124,11 +123,7 @@ class ExperimentConfig:
         )
 
     def darting(self) -> DartingConfig:
-        return DartingConfig(
-            p_check=self.p_check,
-            epsilon=self.epsilon,
-            scale_floor=self.scale_floor,
-        )
+        return DartingConfig(p_check=self.p_check, epsilon=self.epsilon)
 
     def to_dict(self) -> dict:
         return asdict(self)

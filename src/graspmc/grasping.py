@@ -77,14 +77,14 @@ def canonicalize_grasp_vector(v: np.ndarray) -> np.ndarray:
     return np.concatenate([v[:3], quat.canonicalize(v[3:7])])
 
 
+FRICTION_COEFFICIENT = 0.5  # Coulomb friction at both jaw contacts
+QUALITY_THRESHOLD = 0.05  # a quality at or below this Slipped
+COLLISION_TOLERANCE = 1e-4  # penetration depth that counts as collision, m
+CONTACT_TOLERANCE = 1e-5  # jaw-march bisection tolerance, m
+
+
 @dataclass(frozen=True)
 class EvaluationConfig:
-    friction_coefficient: float = 0.5
-    quality_threshold: float = 0.05
-    collision_tolerance: float = 1e-4  # penetration depth that counts as collision, m
-    contact_tolerance: float = 1e-5  # jaw-march bisection tolerance, m
-    probe_pitch: float = 0.005
-    gradient_step: float = 1e-5
     workspace_margin_factor: float = 2.0
 
 
@@ -200,18 +200,14 @@ def evaluate_grasp(
         return GraspOutcome(MISS, 0.0)
 
     rotation = quat.rotation_matrix(grasp.orientation)
-    probes = probe_points(gripper, config.probe_pitch) @ rotation.T + grasp.position
-    if float(np.min(obj.distance(probes))) < -config.collision_tolerance:
+    probes = probe_points(gripper) @ rotation.T + grasp.position
+    if float(np.min(obj.distance(probes))) < -COLLISION_TOLERANCE:
         return GraspOutcome(COLLISION, 0.0)
-    return _grip(grasp.position, rotation, obj, gripper, config)
+    return _grip(grasp.position, rotation, obj, gripper)
 
 
 def _grip(
-    position: np.ndarray,
-    rotation: np.ndarray,
-    obj: ObjectModel,
-    gripper: GripperModel,
-    config: EvaluationConfig,
+    position: np.ndarray, rotation: np.ndarray, obj: ObjectModel, gripper: GripperModel
 ) -> GraspOutcome:
     """Stages 3-5 of evaluate_grasp, for a pose whose body does not collide."""
     closing = rotation @ CLOSING_AXIS
@@ -222,21 +218,21 @@ def _grip(
         position + sides * half_span * closing,
         -sides * closing,
         gripper.jaw_span,
-        config.contact_tolerance,
+        CONTACT_TOLERANCE,
     )
     if contacts is None:
         return GraspOutcome(MISS, 0.0)
 
-    normals = obj.normal(contacts, h=config.gradient_step)
+    normals = obj.normal(contacts)
     n1, n2 = normals[0], normals[1]
     antipodality = max(0.0, -float(n1 @ n2))
-    cos_friction = 1.0 / np.sqrt(1.0 + config.friction_coefficient**2)
+    cos_friction = 1.0 / np.sqrt(1.0 + FRICTION_COEFFICIENT**2)
     margins = [
         max(0.0, abs(float(n @ closing)) - cos_friction) / (1.0 - cos_friction)
         for n in (n1, n2)
     ]
     quality = antipodality * min(margins)
-    if quality <= config.quality_threshold:
+    if quality <= QUALITY_THRESHOLD:
         return GraspOutcome(SLIPPED, 0.0)
     return GraspOutcome(SUCCESS, float(quality))
 
@@ -325,8 +321,8 @@ def sample_surface_point(obj: ObjectModel, rng: np.random.Generator) -> np.ndarr
 COARSE_STRIDE = 20  # a collision screen first probes every 20th lattice point
 
 
-def _collides(obj: ObjectModel, probes: np.ndarray, tolerance: float) -> np.ndarray:
-    """evaluate_grasp's collision verdict, min < -tolerance, for each pose
+def _collides(obj: ObjectModel, probes: np.ndarray) -> np.ndarray:
+    """evaluate_grasp's collision verdict, min < -COLLISION_TOLERANCE, for each pose
     whose probe points are one row of the (poses, points, 3) `probes`.
 
     One distance call on every COARSE_STRIDE-th probe of every pose decides
@@ -335,20 +331,19 @@ def _collides(obj: ObjectModel, probes: np.ndarray, tolerance: float) -> np.ndar
     batch it is evaluated in, so each verdict is evaluate_grasp's.
     """
     coarse = obj.distance(probes[:, ::COARSE_STRIDE]).min(axis=1)
-    hit = coarse < -tolerance
+    hit = coarse < -COLLISION_TOLERANCE
     undecided = np.flatnonzero(~hit)
     if undecided.size:
         rest = np.ones(probes.shape[1], dtype=bool)
         rest[::COARSE_STRIDE] = False
         fine = obj.distance(probes[np.ix_(undecided, rest)]).min(axis=1)
-        hit[undecided] = np.minimum(coarse[undecided], fine) < -tolerance
+        hit[undecided] = np.minimum(coarse[undecided], fine) < -COLLISION_TOLERANCE
     return hit
 
 
 def _climb(
     obj: ObjectModel,
     gripper: GripperModel,
-    config: EvaluationConfig,
     point: np.ndarray,
     normal: np.ndarray,
     position: np.ndarray,
@@ -367,7 +362,7 @@ def _climb(
     and screened for collision together, then walked in order, and the
     batch is rebuilt after the first one that improves.
     """
-    lattice = probe_points(gripper, config.probe_pitch)
+    lattice = probe_points(gripper)
     best_q: np.ndarray | None = None
     best_quality = -1.0
     trial = 0
@@ -386,10 +381,10 @@ def _climb(
         grasps = [Grasp(position, candidate) for candidate in candidates]
         rotations = [quat.rotation_matrix(grasp.orientation) for grasp in grasps]
         probes = np.stack([lattice @ r.T + g.position for g, r in zip(grasps, rotations)])
-        collided = _collides(obj, probes, config.collision_tolerance)
+        collided = _collides(obj, probes)
         for candidate, grasp, rotation, hit in zip(candidates, grasps, rotations, collided):
             trial += 1
-            quality = 0.0 if hit else _grip(grasp.position, rotation, obj, gripper, config).quality
+            quality = 0.0 if hit else _grip(grasp.position, rotation, obj, gripper).quality
             if quality > best_quality:
                 best_q, best_quality = candidate, quality
                 break
@@ -465,7 +460,6 @@ def demonstrate_grasps(
         best_q, best_quality = _climb(
             obj,
             gripper,
-            config,
             point,
             normal,
             position,

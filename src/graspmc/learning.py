@@ -188,13 +188,7 @@ def _learn(
     covariance, a uniformly chosen mode as the start, and burn_in +
     iterations combined steps."""
     regions = [
-        build_jump_region(
-            mode.to_vector(),
-            covariance,
-            darting_config.epsilon,
-            scale_floor=darting_config.scale_floor,
-        )
-        for mode in modes
+        build_jump_region(mode.to_vector(), covariance, darting_config.epsilon) for mode in modes
     ]
     initial = modes[int(rng.integers(len(modes)))].to_vector()
     run_combined_chain(

@@ -31,8 +31,8 @@ class ObjectModel:
     def distance(self, points: np.ndarray) -> np.ndarray:
         return self.shape.distance(points)
 
-    def normal(self, points: np.ndarray, h: float = 1e-5) -> np.ndarray:
-        return self.shape.normal(points, h)
+    def normal(self, points: np.ndarray) -> np.ndarray:
+        return self.shape.normal(points)
 
     def bounds_center(self) -> np.ndarray:
         return 0.5 * (self.bounds_lo + self.bounds_hi)
@@ -67,12 +67,13 @@ class ObjectModel:
 
     @staticmethod
     def from_dict(doc: dict) -> "ObjectModel":
-        return ObjectModel(
-            doc["name"],
-            sdf.from_dict(doc["sdf"]),
-            np.asarray(doc["bounds"]["lo"], dtype=float),
-            np.asarray(doc["bounds"]["hi"], dtype=float),
-        )
+        """Raises ValueError unless the bounds are finite 3-vectors with lo <= hi."""
+        lo = np.asarray(doc["bounds"]["lo"], dtype=float)
+        hi = np.asarray(doc["bounds"]["hi"], dtype=float)
+        finite = lo.shape == hi.shape == (3,) and np.all(np.isfinite(lo) & np.isfinite(hi))
+        if not (finite and np.all(lo <= hi)):
+            raise ValueError(f"bounds must be finite 3-vectors, lo <= hi, not {doc['bounds']!r}")
+        return ObjectModel(doc["name"], sdf.from_dict(doc["sdf"]), lo, hi)
 
 
 def _plate_like(name, base_r, base_top, rim_outer, rim_inner, rim_lo, rim_hi):

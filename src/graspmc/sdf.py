@@ -16,7 +16,8 @@ follows tree order. A translation or rotation moves its whole input once
 and hands it to its child's `distance`. The plan applies each node's
 floating-point operations in the node's own order, so its distances equal
 a node-by-node walk bit for bit. Nodes are not changed after they are
-built: a plan keeps the parameters it was compiled with.
+built: a plan keeps the parameters it was compiled with. Each node checks
+its parameters when it is built and raises ValueError on a malformed one.
 """
 
 from __future__ import annotations
@@ -28,6 +29,21 @@ import numpy as np
 from . import quaternions as quat
 
 CHUNK_POINTS = 1024  # points per plan pass; bounds its (leaves, points) temporary arrays
+GRADIENT_STEP = 1e-5  # central-difference step of `Sdf.gradient`, m
+
+
+def _positive(name: str, value) -> float:
+    value = float(value)
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, not {value!r}")
+    return value
+
+
+def _vector(name: str, value, size: int) -> np.ndarray:
+    value = np.asarray(value, dtype=float)
+    if value.shape != (size,) or not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be a finite {size}-vector, not {value.tolist()!r}")
+    return value
 
 
 class Sdf:
@@ -50,17 +66,17 @@ class Sdf:
     def subtract(self, other: "Sdf") -> "Sdf":
         return Difference(self, other)
 
-    def gradient(self, points: np.ndarray, h: float = 1e-5) -> np.ndarray:
-        """Central-difference gradient: one distance call on all six +/-h
-        offsets of every point."""
+    def gradient(self, points: np.ndarray) -> np.ndarray:
+        """Central-difference gradient: one distance call on all six
+        +/-GRADIENT_STEP offsets of every point."""
         points = np.atleast_2d(np.asarray(points, dtype=float))[:, None, :]
-        offsets = h * np.eye(3)
+        offsets = GRADIENT_STEP * np.eye(3)
         stencil = np.concatenate([points + offsets, points - offsets], axis=1)
         d = self.distance(stencil.reshape(-1, 3)).reshape(-1, 6)
-        return (d[:, :3] - d[:, 3:]) / (2 * h)
+        return (d[:, :3] - d[:, 3:]) / (2 * GRADIENT_STEP)
 
-    def normal(self, points: np.ndarray, h: float = 1e-5) -> np.ndarray:
-        g = self.gradient(points, h)
+    def normal(self, points: np.ndarray) -> np.ndarray:
+        g = self.gradient(points)
         norms = np.linalg.norm(g, axis=-1, keepdims=True)
         return g / np.maximum(norms, 1e-12)
 
@@ -84,7 +100,7 @@ class _Primitive(Sdf):
 
 class Sphere(_Primitive):
     def __init__(self, radius: float):
-        self.radius = float(radius)
+        self.radius = _positive("radius", radius)
 
     def params(self):
         return (self.radius,)
@@ -102,7 +118,9 @@ class Box(_Primitive):
     """Axis-aligned box given half extents, centered at the origin."""
 
     def __init__(self, half_extents):
-        self.half_extents = np.asarray(half_extents, dtype=float)
+        self.half_extents = _vector("half_extents", half_extents, 3)
+        if not np.all(self.half_extents > 0.0):
+            raise ValueError(f"half_extents must be positive, not {self.half_extents.tolist()!r}")
 
     def params(self):
         return tuple(self.half_extents)
@@ -123,8 +141,8 @@ class Cylinder(_Primitive):
     """Capped cylinder along z, centered at the origin."""
 
     def __init__(self, radius: float, half_height: float):
-        self.radius = float(radius)
-        self.half_height = float(half_height)
+        self.radius = _positive("radius", radius)
+        self.half_height = _positive("half_height", half_height)
 
     def params(self):
         return (self.radius, self.half_height)
@@ -149,9 +167,11 @@ class CappedTorus(_Primitive):
     """
 
     def __init__(self, major_radius: float, tube_radius: float, half_angle: float):
-        self.major_radius = float(major_radius)
-        self.tube_radius = float(tube_radius)
+        self.major_radius = _positive("major_radius", major_radius)
+        self.tube_radius = _positive("tube_radius", tube_radius)
         self.half_angle = float(half_angle)
+        if not 0.0 < self.half_angle <= np.pi:
+            raise ValueError(f"half_angle must lie in (0, pi], not {self.half_angle!r}")
         # the expressions the formula used to evaluate on every call, so the same bits
         self._constants = (
             np.sin(self.half_angle),
@@ -182,7 +202,7 @@ class CappedTorus(_Primitive):
 class Translate(Sdf):
     def __init__(self, child: Sdf, offset):
         self.child = child
-        self.offset = np.asarray(offset, dtype=float)
+        self.offset = _vector("offset", offset, 3)
 
     def move(self, p: np.ndarray) -> np.ndarray:
         """Points in the child's frame."""
@@ -200,7 +220,7 @@ class Rotate(Sdf):
 
     def __init__(self, child: Sdf, quaternion):
         self.child = child
-        self.quaternion = quat.canonicalize(quaternion)
+        self.quaternion = quat.canonicalize(_vector("quaternion", quaternion, 4))
         self._inverse = quat.rotation_matrix(self.quaternion).T
 
     def move(self, p: np.ndarray) -> np.ndarray:

@@ -257,7 +257,7 @@ class TestResultDocuments:
             '"created": "2026-01-01T00:00:00+00:00", "config": {"experiment": '
             '"active-biased-init", "object_name": "plate", "seed": 3, "iterations": 1000, '
             '"burn_in": 100, "gamma": 0.0001, "nu": 0.971630931303994, "subsample_size": 100, '
-            '"p_check": 0.6, "epsilon": 0.7, "scale_floor": 1e-06, "kappa": 50.0, '
+            '"p_check": 0.6, "epsilon": 0.7, "kappa": 50.0, '
             '"position_sigma": 0.1, "demonstration_count": 5, "source_model": null, '
             '"keep_trace": true}, "tallies": {"success": 417, "slipped": 12, "collision": 30, '
             '"miss": 641}, "sketch_evaluations": 1100, "duration_seconds": 1.5, "trace": []}'
@@ -499,6 +499,24 @@ class TestCli:
         assert (out / "random-walk-baseline_saucer_seed0.result.json").exists()
         assert (out / "random-walk-baseline_saucer_seed1.result.json").exists()
 
+    @pytest.mark.parametrize("seeds", ["3", "a..b", "5..3", "0..1..2"])
+    def test_malformed_seed_range_is_a_usage_error(self, seeds, tmp_path, capsys):
+        with pytest.raises(SystemExit) as caught:
+            cli_main(["learn", "--experiment", RANDOM_WALK_BASELINE, "--object", "saucer",
+                      "--seeds", seeds, "--out-dir", str(tmp_path / "runs")])
+        assert caught.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    # not JSON, not a JSON object, and a field ExperimentConfig does not have
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"scale_floor": 1e-06}'])
+    def test_malformed_config_file_raises_invalid_config(self, text, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        with pytest.raises(InvalidConfig):
+            cli_main(["learn", "--experiment", RANDOM_WALK_BASELINE, "--object", "saucer",
+                      "--seed", "0", "--config", str(cfg_file), "--out-dir", str(tmp_path)])
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"iterations": 30, "kappa": 25.0}))
@@ -566,7 +584,6 @@ class TestCliVerbs:
             "subsample_size": 7,
             "p_check": 0.5,
             "epsilon": 0.6,
-            "scale_floor": 2e-6,
             "kappa": 40.0,
             "position_sigma": 0.05,
             "demonstration_count": 2,

@@ -10,9 +10,13 @@ from graspmc.errors import DemonstrationFailure
 from graspmc.grasping import (
     CLOSING_AXIS,
     COLLISION,
+    COLLISION_TOLERANCE,
+    CONTACT_TOLERANCE,
     DEFAULT_EVALUATION,
+    FRICTION_COEFFICIENT,
     MISS,
     OUTCOME_KINDS,
+    QUALITY_THRESHOLD,
     SLIPPED,
     SUCCESS,
     TARGET_MEMO_SIZE,
@@ -304,8 +308,8 @@ def reference_evaluate(grasp, obj, gripper=GRIPPER, config=DEFAULT_EVALUATION):
     if np.any(grasp.position < lo) or np.any(grasp.position > hi):
         return GraspOutcome(MISS, 0.0)
     rotation = quat.rotation_matrix(grasp.orientation)
-    probes = probe_points(gripper, config.probe_pitch) @ rotation.T + grasp.position
-    if float(np.min(obj.distance(probes))) < -config.collision_tolerance:
+    probes = probe_points(gripper) @ rotation.T + grasp.position
+    if float(np.min(obj.distance(probes))) < -COLLISION_TOLERANCE:
         return GraspOutcome(COLLISION, 0.0)
     closing = rotation @ CLOSING_AXIS
     half_span = 0.5 * gripper.jaw_span
@@ -313,19 +317,19 @@ def reference_evaluate(grasp, obj, gripper=GRIPPER, config=DEFAULT_EVALUATION):
     for side in (1.0, -1.0):
         start = grasp.position + side * half_span * closing
         contact = scalar_march_contact(
-            obj, start, -side * closing, gripper.jaw_span, config.contact_tolerance
+            obj, start, -side * closing, gripper.jaw_span, CONTACT_TOLERANCE
         )
         if contact is None:
             return GraspOutcome(MISS, 0.0)
         contacts.append(contact)
-    n1, n2 = per_axis_normals(obj, np.asarray(contacts), config.gradient_step)
+    n1, n2 = per_axis_normals(obj, np.asarray(contacts), sdf.GRADIENT_STEP)
     antipodality = max(0.0, -float(n1 @ n2))
-    cos_friction = 1.0 / np.sqrt(1.0 + config.friction_coefficient**2)
+    cos_friction = 1.0 / np.sqrt(1.0 + FRICTION_COEFFICIENT**2)
     margins = [
         max(0.0, abs(float(n @ closing)) - cos_friction) / (1.0 - cos_friction) for n in (n1, n2)
     ]
     quality = antipodality * min(margins)
-    if quality <= config.quality_threshold:
+    if quality <= QUALITY_THRESHOLD:
         return GraspOutcome(SLIPPED, 0.0)
     return GraspOutcome(SUCCESS, float(quality))
 
