@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .darting import DartingConfig, JumpRegion, build_jump_region, darting_step
 from .grasping import (
-    EvaluationConfig,
     Grasp,
     GraspOutcome,
     demonstrate_grasps,
@@ -31,7 +30,6 @@ from .vmf import VonMisesFisher, sample_vmf
 __all__ = [
     "ChainHistory",
     "DartingConfig",
-    "EvaluationConfig",
     "GaussianKernel",
     "Grasp",
     "GraspOutcome",

@@ -167,15 +167,34 @@ class ResultRecord:
 
     @staticmethod
     def from_dict(doc: dict) -> "ResultRecord":
+        """Raises ValueError unless the record has what `emit_table` reads: a
+        config naming a known experiment, an object and an integer seed, and
+        a nonnegative integer tally per outcome. The config's other fields
+        are not checked, so a record of an older config still loads."""
+        config = doc["config"]
+        tallies = Tally._make(doc["tallies"][name] for name in Tally._fields)
+        if not (
+            isinstance(config, dict)
+            and config.get("experiment") in EXPERIMENTS
+            and isinstance(config.get("object_name"), str)
+            and _is_integer(config.get("seed"))
+        ):
+            raise ValueError(f"config must name an experiment, object and seed, not {config!r}")
+        if not all(_is_integer(n) and n >= 0 for n in tallies):
+            raise ValueError(f"tallies must be nonnegative integers, not {tallies!r}")
         return ResultRecord(
-            config=doc["config"],
-            tallies=Tally._make(doc["tallies"][name] for name in Tally._fields),
+            config=config,
+            tallies=tallies,
             trace=doc.get("trace", []),
             duration_seconds=doc.get("duration_seconds", 0.0),
             sketch_evaluations=doc.get("sketch_evaluations", 0),
             version=doc.get("version", ""),
             created=doc.get("created", ""),
         )
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _phase_rngs(seed: int) -> dict[str, np.random.Generator]:

@@ -42,6 +42,9 @@ class GraspOutcome:
             raise ValueError("positive quality iff success")
 
 
+GRASP_DIM = 7  # position, then quaternion
+
+
 @dataclass(frozen=True)
 class Grasp:
     position: np.ndarray
@@ -60,8 +63,8 @@ class Grasp:
     @staticmethod
     def from_vector(v: np.ndarray) -> "Grasp":
         v = np.asarray(v, dtype=float)
-        if v.shape != (7,):
-            raise ValueError(f"grasp vector must have 7 components, got shape {v.shape}")
+        if v.shape != (GRASP_DIM,):
+            raise ValueError(f"grasp vector must have {GRASP_DIM} components, got shape {v.shape}")
         return Grasp(v[:3], v[3:])
 
     def closing_axis_world(self) -> np.ndarray:
@@ -177,12 +180,7 @@ def _jaw_contacts(
     return contacts
 
 
-def evaluate_grasp(
-    grasp: Grasp,
-    obj: ObjectModel,
-    gripper: GripperModel,
-    config: EvaluationConfig = DEFAULT_EVALUATION,
-) -> GraspOutcome:
+def evaluate_grasp(grasp: Grasp, obj: ObjectModel, gripper: GripperModel) -> GraspOutcome:
     """Deterministic outcome cascade: collision, miss, then quality.
 
     1. positions outside the inflated workspace box are a Miss (unreachable);
@@ -195,7 +193,7 @@ def evaluate_grasp(
        normalized so a perfect antipodal aligned grasp scores 1;
     5. at or below the quality threshold the grasp Slipped, else Success.
     """
-    lo, hi = workspace_bounds(obj, gripper, config)
+    lo, hi = workspace_bounds(obj, gripper)
     if np.any(grasp.position < lo) or np.any(grasp.position > hi):
         return GraspOutcome(MISS, 0.0)
 
@@ -319,6 +317,10 @@ def sample_surface_point(obj: ObjectModel, rng: np.random.Generator) -> np.ndarr
 
 
 COARSE_STRIDE = 20  # a collision screen first probes every 20th lattice point
+DEMONSTRATION_ATTEMPTS = 10_000  # surface points a search tries before it gives up
+TRIALS_PER_POINT = 200  # orientation trials at one surface point
+RESTART_EVERY = 25  # trials from one heuristic-frame restart to the next
+PERTURBATION_KAPPA = 150.0  # vMF concentration of a perturbation of the incumbent
 
 
 def _collides(obj: ObjectModel, probes: np.ndarray) -> np.ndarray:
@@ -348,14 +350,12 @@ def _climb(
     normal: np.ndarray,
     position: np.ndarray,
     draws: list,
-    restart_every: int,
-    kappa: float,
 ) -> tuple[np.ndarray, float]:
     """Keep-best orientation search at one position: (best orientation,
     best quality) over one trial per entry of `draws`.
 
     Trial t is a restart, the heuristic frame at the surface point rolled by
-    `draws[t]`, when t is a multiple of restart_every, and otherwise the vMF
+    `draws[t]`, when t is a multiple of RESTART_EVERY, and otherwise the vMF
     perturbation of the incumbent that the draw `draws[t]` orients. The
     result is that of evaluating the trials one by one with evaluate_grasp:
     the trials up to the next restart are built from the current incumbent
@@ -370,11 +370,11 @@ def _climb(
         if best_q is None:
             end, mean = trial + 1, None
         else:
-            end = min(len(draws), (trial // restart_every + 1) * restart_every)
-            mean = VonMisesFisher(best_q, kappa)
+            end = min(len(draws), (trial // RESTART_EVERY + 1) * RESTART_EVERY)
+            mean = VonMisesFisher(best_q, PERTURBATION_KAPPA)
         candidates = [
             _heuristic_orientation(point, normal, obj, draws[t])
-            if t % restart_every == 0
+            if t % RESTART_EVERY == 0
             else quat.canonicalize(orient_vmf(mean, draws[t]))
             for t in range(trial, end)
         ]
@@ -392,28 +392,20 @@ def _climb(
 
 
 def demonstrate_grasps(
-    obj: ObjectModel,
-    gripper: GripperModel,
-    count: int,
-    rng: np.random.Generator,
-    config: EvaluationConfig = DEFAULT_EVALUATION,
-    *,
-    max_attempts: int = 10_000,
-    trials_per_point: int = 200,
-    restart_every: int = 25,
-    perturbation_kappa: float = 150.0,
+    obj: ObjectModel, gripper: GripperModel, count: int, rng: np.random.Generator
 ) -> list[tuple[Grasp, float]]:
     """Surface-point sampling plus keep-best orientation search.
 
     Each attempt picks a surface point and offsets the tool center point
     along the outward normal: half the local material thickness inward
     when the feature fits between the jaws (centering it), a millimeter
-    outward otherwise. The orientation then hill-climbs: restarts from the
-    normal-aligned heuristic frame (random roll) every `restart_every`
-    trials, vMF perturbations of the incumbent in between. Attempts whose
-    best outcome is not a Success are discarded. Raises
-    DemonstrationFailure when max_attempts run out first, and ValueError
-    on an invalid argument before drawing anything.
+    outward otherwise. The orientation then hill-climbs over
+    TRIALS_PER_POINT trials: restarts from the normal-aligned heuristic
+    frame (random roll) every RESTART_EVERY trials, vMF perturbations of
+    concentration PERTURBATION_KAPPA around the incumbent in between.
+    Attempts whose best outcome is not a Success are discarded. Raises
+    DemonstrationFailure when DEMONSTRATION_ATTEMPTS run out first, and
+    ValueError on a count below 1 before drawing anything.
 
     An attempt makes every trial's random draws first, in trial order (a
     restart's roll, a perturbation's `draw_vmf`), since none depends on an
@@ -424,21 +416,13 @@ def demonstrate_grasps(
     A position outside the workspace makes every trial a Miss and calls no
     SDF.
     """
-    for name, value in (
-        ("count", count),
-        ("max_attempts", max_attempts),
-        ("trials_per_point", trials_per_point),
-        ("restart_every", restart_every),
-    ):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1")
-    if not np.isfinite(perturbation_kappa) or perturbation_kappa < 0.0:
-        raise ValueError("perturbation_kappa must be a finite nonnegative real")
-    lo, hi = workspace_bounds(obj, gripper, config)
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    lo, hi = workspace_bounds(obj, gripper)
     found: list[tuple[Grasp, float]] = []
     attempts = 0
     while len(found) < count:
-        if attempts >= max_attempts:
+        if attempts >= DEMONSTRATION_ATTEMPTS:
             raise DemonstrationFailure(
                 f"{attempts} attempts produced {len(found)}/{count} demonstrations"
             )
@@ -451,22 +435,13 @@ def demonstrate_grasps(
         else:
             position = point + 1e-3 * normal
         draws = [
-            rng.uniform(-np.pi, np.pi) if trial % restart_every == 0
-            else draw_vmf(perturbation_kappa, 4, rng)
-            for trial in range(trials_per_point)
+            rng.uniform(-np.pi, np.pi) if trial % RESTART_EVERY == 0
+            else draw_vmf(PERTURBATION_KAPPA, 4, rng)
+            for trial in range(TRIALS_PER_POINT)
         ]
         if np.any(position < lo) or np.any(position > hi):
             continue
-        best_q, best_quality = _climb(
-            obj,
-            gripper,
-            point,
-            normal,
-            position,
-            draws,
-            restart_every,
-            perturbation_kappa,
-        )
+        best_q, best_quality = _climb(obj, gripper, point, normal, position, draws)
         if best_quality > 0.0:
             found.append((Grasp(position, best_q), best_quality))
     return found

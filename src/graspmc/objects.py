@@ -2,23 +2,17 @@
 
 Three base objects (pitcher, pan, plate) plus two size/proportion variants
 each. All dimensions in meters, canonical pose: base resting on z = 0,
-axis of symmetry along z. The catalog serializes to a versioned JSON
-document (see catalog_to_document) so objects can be added without code
-changes.
+axis of symmetry along z.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import quaternions as quat
 from . import sdf
-from .errors import read_document
-
-CATALOG_SCHEMA = "graspmc.objects/1"
 
 
 @dataclass(frozen=True)
@@ -57,23 +51,6 @@ class ObjectModel:
             moved_corners.min(axis=0),
             moved_corners.max(axis=0),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "bounds": {"lo": self.bounds_lo.tolist(), "hi": self.bounds_hi.tolist()},
-            "sdf": self.shape.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "ObjectModel":
-        """Raises ValueError unless the bounds are finite 3-vectors with lo <= hi."""
-        lo = np.asarray(doc["bounds"]["lo"], dtype=float)
-        hi = np.asarray(doc["bounds"]["hi"], dtype=float)
-        finite = lo.shape == hi.shape == (3,) and np.all(np.isfinite(lo) & np.isfinite(hi))
-        if not (finite and np.all(lo <= hi)):
-            raise ValueError(f"bounds must be finite 3-vectors, lo <= hi, not {doc['bounds']!r}")
-        return ObjectModel(doc["name"], sdf.from_dict(doc["sdf"]), lo, hi)
 
 
 def _plate_like(name, base_r, base_top, rim_outer, rim_inner, rim_lo, rim_hi):
@@ -158,14 +135,3 @@ def get_object(name: str) -> ObjectModel:
     build, dimensions = _CATALOG[name]
     return build(name, *dimensions)
 
-
-def catalog_to_document(objects: list[ObjectModel] | None = None) -> str:
-    objects = object_catalog() if objects is None else objects
-    doc = {"schema": CATALOG_SCHEMA, "objects": [o.to_dict() for o in objects]}
-    return json.dumps(doc, indent=2)
-
-
-def catalog_from_document(text: str) -> list[ObjectModel]:
-    return read_document(
-        text, CATALOG_SCHEMA, lambda doc: [ObjectModel.from_dict(entry) for entry in doc["objects"]]
-    )

@@ -13,16 +13,17 @@ import numpy as np
 from .errors import ZeroQuaternion
 
 UNIT_TOLERANCE = 1e-9
+MIN_NORM = 1e-12  # a quaternion of this norm or less has no direction to normalize
 
 
 def canonicalize(q: np.ndarray) -> np.ndarray:
     """Normalize a 4-vector and resolve the double-cover sign.
 
-    Raises ZeroQuaternion if the norm is at or below 1e-12.
+    Raises ZeroQuaternion if the norm is at or below MIN_NORM.
     """
     q = np.asarray(q, dtype=float)
     norm = float(np.linalg.norm(q))
-    if norm <= 1e-12:
+    if norm <= MIN_NORM:
         raise ZeroQuaternion(f"quaternion norm {norm:g} too small")
     q = q / norm
     if q[0] < 0.0:
@@ -110,5 +111,5 @@ def random_uniform(rng: np.random.Generator) -> np.ndarray:
     """Canonical quaternion drawn uniformly on S^3 (normalized 4D Gaussian)."""
     while True:
         raw = rng.standard_normal(4)
-        if np.linalg.norm(raw) > 1e-12:
+        if np.linalg.norm(raw) > MIN_NORM:
             return canonicalize(raw)

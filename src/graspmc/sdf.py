@@ -1,14 +1,12 @@
 """Signed distance fields: analytic primitives plus CSG composition.
 
 Distances are exact for primitives and conservative (still 1-Lipschitz,
-correct sign) for unions/differences/intersections. All shapes evaluate
-vectorized over (..., 3) point arrays; negative inside, positive outside.
-Every node serializes to a plain dict so object catalogs round-trip
-through text documents.
+correct sign) for unions and differences. All shapes evaluate vectorized
+over (..., 3) point arrays; negative inside, positive outside.
 
-A union, difference or intersection evaluates through a plan of its
-subtree, built on first use. Primitives of one type whose only transform
-is one translation run as one broadcast pass with a column per parameter;
+A union or difference evaluates through a plan of its subtree, built on
+first use. Primitives of one type whose only transform is one
+translation run as one broadcast pass with a column per parameter;
 a parameter or offset that all of them share bit for bit is one entry, so
 the pass computes, say, the radial distance of all z-axis cylinders once.
 Other leaves run through their own transform chain; the CSG combine then
@@ -48,9 +46,6 @@ def _vector(name: str, value, size: int) -> np.ndarray:
 
 class Sdf:
     def distance(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
         raise NotImplementedError
 
     # fluent composition helpers
@@ -110,9 +105,6 @@ class Sphere(_Primitive):
         # summed left to right, as np.linalg.norm sums over the last axis
         return np.sqrt(x * x + y * y + z * z) - radius
 
-    def to_dict(self):
-        return {"type": "sphere", "radius": self.radius}
-
 
 class Box(_Primitive):
     """Axis-aligned box given half extents, centered at the origin."""
@@ -133,9 +125,6 @@ class Box(_Primitive):
         # left to right, the order of np.linalg.norm; another order moves last bits
         return np.sqrt(ox * ox + oy * oy + oz * oz) + inside
 
-    def to_dict(self):
-        return {"type": "box", "half_extents": self.half_extents.tolist()}
-
 
 class Cylinder(_Primitive):
     """Capped cylinder along z, centered at the origin."""
@@ -153,9 +142,6 @@ class Cylinder(_Primitive):
         axial = np.abs(z) - half_height
         r, a = np.maximum(radial, 0.0), np.maximum(axial, 0.0)
         return np.sqrt(r * r + a * a) + np.minimum(np.maximum(radial, axial), 0.0)
-
-    def to_dict(self):
-        return {"type": "cylinder", "radius": self.radius, "half_height": self.half_height}
 
 
 class CappedTorus(_Primitive):
@@ -190,14 +176,6 @@ class CappedTorus(_Primitive):
         sq = px * px + y * y + z * z
         return np.sqrt(np.maximum(sq + major_squared - major_doubled * k, 0.0)) - tube_radius
 
-    def to_dict(self):
-        return {
-            "type": "capped_torus",
-            "major_radius": self.major_radius,
-            "tube_radius": self.tube_radius,
-            "half_angle": self.half_angle,
-        }
-
 
 class Translate(Sdf):
     def __init__(self, child: Sdf, offset):
@@ -210,9 +188,6 @@ class Translate(Sdf):
 
     def distance(self, points):
         return self.child.distance(self.move(np.asarray(points, dtype=float)))
-
-    def to_dict(self):
-        return {"type": "translate", "offset": self.offset.tolist(), "child": self.child.to_dict()}
 
 
 class Rotate(Sdf):
@@ -229,9 +204,6 @@ class Rotate(Sdf):
 
     def distance(self, points):
         return self.child.distance(self.move(np.asarray(points, dtype=float)))
-
-    def to_dict(self):
-        return {"type": "rotate", "quaternion": self.quaternion.tolist(), "child": self.child.to_dict()}
 
 
 class _Combination(Sdf):
@@ -251,9 +223,6 @@ class Union(_Combination):
             raise ValueError("union needs at least one child")
         self.children = list(children)
 
-    def to_dict(self):
-        return {"type": "union", "children": [c.to_dict() for c in self.children]}
-
 
 class Difference(_Combination):
     """Points of `base` not inside `cut`."""
@@ -261,19 +230,6 @@ class Difference(_Combination):
     def __init__(self, base: Sdf, cut: Sdf):
         self.base = base
         self.cut = cut
-
-    def to_dict(self):
-        return {"type": "difference", "base": self.base.to_dict(), "cut": self.cut.to_dict()}
-
-
-class Intersection(_Combination):
-    def __init__(self, children: list[Sdf]):
-        if not children:
-            raise ValueError("intersection needs at least one child")
-        self.children = list(children)
-
-    def to_dict(self):
-        return {"type": "intersection", "children": [c.to_dict() for c in self.children]}
 
 
 _PRIMITIVES = (Sphere, Box, Cylinder, CappedTorus)
@@ -318,11 +274,10 @@ class _Plan:
         kind = type(node)
         if kind in (Translate, Rotate):
             return self._compile(node.child, chain + [node], leaves)
-        if kind in (Union, Intersection):
-            combine = np.minimum if kind is Union else np.maximum
+        if kind is Union:
             value = self._compile(node.children[0], chain, leaves)
             for child in node.children[1:]:
-                value = self._step(combine, value, self._compile(child, chain, leaves))
+                value = self._step(np.minimum, value, self._compile(child, chain, leaves))
             return value
         if kind is Difference:
             base = self._compile(node.base, chain, leaves)
@@ -374,25 +329,3 @@ def _column(values) -> np.ndarray:
         return column[:1]
     return column
 
-
-def from_dict(doc: dict) -> Sdf:
-    kind = doc["type"]
-    if kind == "sphere":
-        return Sphere(doc["radius"])
-    if kind == "box":
-        return Box(doc["half_extents"])
-    if kind == "cylinder":
-        return Cylinder(doc["radius"], doc["half_height"])
-    if kind == "capped_torus":
-        return CappedTorus(doc["major_radius"], doc["tube_radius"], doc["half_angle"])
-    if kind == "translate":
-        return Translate(from_dict(doc["child"]), doc["offset"])
-    if kind == "rotate":
-        return Rotate(from_dict(doc["child"]), doc["quaternion"])
-    if kind == "union":
-        return Union([from_dict(c) for c in doc["children"]])
-    if kind == "difference":
-        return Difference(from_dict(doc["base"]), from_dict(doc["cut"]))
-    if kind == "intersection":
-        return Intersection([from_dict(c) for c in doc["children"]])
-    raise ValueError(f"unknown sdf node type {kind!r}")

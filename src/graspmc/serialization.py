@@ -1,4 +1,5 @@
-"""Versioned JSON documents for learned models and chain histories.
+"""Versioned JSON documents for learned models and chain histories, and
+the rough sketch's output document.
 
 Floats round-trip losslessly (json uses repr-based shortest round-trip
 encoding), which the transfer-learning input format requires.
@@ -13,7 +14,7 @@ import numpy as np
 from . import quaternions as quat
 from .darting import JumpRegion
 from .errors import GraspMCError, read_document
-from .grasping import Grasp
+from .grasping import GRASP_DIM, Grasp
 from .history import MOVE_DTYPE, OUTCOME_CODES, OUTCOME_LABELS, ChainHistory, rows
 from .learning import LearnedModel, RoughSketch
 
@@ -56,10 +57,17 @@ def history_to_dict(history: ChainHistory) -> dict:
     }
 
 
+def _check_densities(name: str, densities) -> None:
+    if np.ndim(densities) != 1 or not np.all(np.isfinite(densities) & (densities >= 0.0)):
+        raise ValueError(f"{name} must be a list of finite nonnegative reals")
+
+
 def history_from_dict(doc: dict) -> ChainHistory:
     """The history written by `history_to_dict`; each step's decision is
-    read from its proposal record, not the document's repeated list."""
-    return ChainHistory(
+    read from its proposal record, not the document's repeated list.
+    Raises ValueError on a negative or non-finite density, or on seed or
+    step columns of different lengths."""
+    h = ChainHistory(
         bool(doc["proposal_sourced"]),
         rows(doc["seed_states"]),
         np.array(doc["seed_densities"], dtype=float),
@@ -69,6 +77,13 @@ def history_from_dict(doc: dict) -> ChainHistory:
         *_columns(doc["proposals"]),
         np.array(doc["moves"], dtype=MOVE_DTYPE),
     )
+    for name in ("seed_densities", "seed_proposal_densities", "densities", "proposal_densities"):
+        _check_densities(name, getattr(h, name))
+    if len(h.seed_states) != len(h.seed_densities):
+        raise ValueError("seed states and seed densities differ in length")
+    if not len(h.states) == len(h.densities) == len(h.proposals) == len(h.moves):
+        raise ValueError("the chain's states, densities, proposals and moves differ in length")
+    return h
 
 
 def _region_to_dict(region: JumpRegion) -> dict:
@@ -85,16 +100,31 @@ def _region_to_dict(region: JumpRegion) -> dict:
 def _region_from_dict(doc: dict) -> JumpRegion:
     if doc["sqrt_scales"]:
         raise GraspMCError("jump regions with square-root semi-axes are not supported")
-    return JumpRegion(
+    region = JumpRegion(
         np.asarray(doc["center"], dtype=float),
         np.asarray(doc["rotation"], dtype=float),
         np.asarray(doc["scales"], dtype=float),
         float(doc["epsilon"]),
         float(doc["volume"]),
     )
+    shapes = (region.center.shape, region.rotation.shape, region.scales.shape)
+    if shapes != ((GRASP_DIM,), (GRASP_DIM, GRASP_DIM), (GRASP_DIM,)):
+        raise ValueError(f"region center, rotation and scales have shapes {shapes}")
+    return region
 
 
-def _mode_from_list(values: list[float]) -> Grasp:
+def _check_grasps(name: str, block: np.ndarray) -> None:
+    """Raises ValueError unless every row is a finite grasp vector whose
+    quaternion `quaternions.canonicalize` can normalize."""
+    if not len(block):
+        return
+    if block.shape[1] != GRASP_DIM or not np.all(np.isfinite(block)):
+        raise ValueError(f"{name} must be finite {GRASP_DIM}-vectors")
+    if np.any(np.linalg.norm(block[:, 3:], axis=1) <= quat.MIN_NORM):
+        raise ValueError(f"{name} hold a zero quaternion")
+
+
+def _mode_from_list(values) -> Grasp:
     """A stored mode, its quaternion kept bit for bit when already a
     canonical unit: `quaternions.canonicalize` is not idempotent in
     floating point, so canonicalizing again could move its last bits."""
@@ -123,14 +153,27 @@ def model_from_document(text: str) -> LearnedModel:
 
 
 def _model_from_dict(doc: dict) -> LearnedModel:
+    """Raises ValueError unless the modes and the chain's states and
+    proposals are finite grasp vectors, the regions are grasp-sized, and
+    there is one finite nonnegative density per mode."""
+    modes = rows(doc["modes"])
+    chain = history_from_dict(doc["chain"])
+    _check_grasps("modes", modes)
+    for name in ("seed_states", "seed_proposals", "states", "proposals"):
+        _check_grasps(name, getattr(chain, name))
     densities = doc.get("mode_densities")
+    if densities is not None:
+        densities = [float(d) for d in densities]
+        _check_densities("mode_densities", np.array(densities))
+        if len(densities) != len(modes):
+            raise ValueError(f"{len(densities)} mode densities for {len(modes)} modes")
     return LearnedModel(
         doc["object"],
-        history_from_dict(doc["chain"]),
-        [_mode_from_list(m) for m in doc["modes"]],
+        chain,
+        [_mode_from_list(m) for m in modes],
         [_region_from_dict(r) for r in doc["regions"]],
         dict(doc.get("config") or {}),
-        mode_densities=None if densities is None else [float(d) for d in densities],
+        mode_densities=densities,
     )
 
 
@@ -147,15 +190,3 @@ def sketch_to_document(sketch: RoughSketch) -> str:
     }
     return json.dumps(doc)
 
-
-def sketch_from_document(text: str) -> RoughSketch:
-    return read_document(
-        text,
-        SKETCH_SCHEMA,
-        lambda doc: RoughSketch(
-            *_columns(doc["proposals"]),
-            doc["source_object"],
-            float(doc["position_sigma"]),
-            float(doc["kappa"]),
-        ),
-    )

@@ -1,10 +1,15 @@
+import copy
 import dataclasses
+import functools
 import json
 import math
+import operator
 import re
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from graspmc import experiments, learning
 from graspmc import quaternions as quat
@@ -35,8 +40,8 @@ from graspmc.experiments import (
 from graspmc.grasping import demonstrate_grasps
 from graspmc.gripper import GripperModel, default_gripper
 from graspmc.learning import Tally
-from graspmc.objects import OBJECT_NAMES, catalog_from_document, get_object
-from graspmc.serialization import model_from_document, model_to_document, sketch_from_document
+from graspmc.objects import OBJECT_NAMES, get_object
+from graspmc.serialization import model_from_document, model_to_document
 
 SHORT = dict(iterations=60, burn_in=20)
 
@@ -265,6 +270,57 @@ class TestResultDocuments:
         clone = result_from_document(text)
         assert clone.tallies == record.tallies and clone.total == 1100
 
+    @staticmethod
+    def document(config=None, **tallies):
+        if config is None:
+            config = {"experiment": ACTIVE_BIASED_INIT, "object_name": "plate", "seed": 3}
+        doc = {
+            "schema": "graspmc.result/1",
+            "config": config,
+            "tallies": {"success": 417, "slipped": 12, "collision": 30, "miss": 641, **tallies},
+        }
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            [],
+            {"object_name": "plate", "seed": 3},
+            {"experiment": "nope", "object_name": "plate", "seed": 3},
+            {"experiment": ACTIVE_BIASED_INIT, "object_name": 7, "seed": 3},
+            {"experiment": ACTIVE_BIASED_INIT, "object_name": "plate", "seed": "3"},
+            {"experiment": ACTIVE_BIASED_INIT, "object_name": "plate", "seed": True},
+        ],
+        ids=["not-an-object", "no-experiment", "unknown-experiment", "object-not-a-string",
+             "string-seed", "bool-seed"],
+    )
+    def test_config_the_table_reads_is_checked(self, config):
+        with pytest.raises(InvalidDocument) as caught:
+            result_from_document(self.document(config))
+        assert type(caught.value.__cause__) is ValueError
+
+    @pytest.mark.parametrize("tally", ["1", None, -1, True, 1.5])
+    def test_tallies_are_nonnegative_integers(self, tally):
+        with pytest.raises(InvalidDocument) as caught:
+            result_from_document(self.document(slipped=tally))
+        assert type(caught.value.__cause__) is ValueError
+
+    def test_a_string_seed_never_reaches_the_table_sort(self):
+        records = [result_from_document(self.document())]
+        with pytest.raises(InvalidDocument):
+            records.append(result_from_document(self.document(
+                {"experiment": ACTIVE_BIASED_INIT, "object_name": "plate", "seed": "4"}
+            )))
+        assert emit_table(records)[0].splitlines()[1] == "active-biased-init,plate,3,417,12,30,641"
+
+    def test_a_record_of_an_older_config_still_reports(self):
+        config = {
+            "experiment": ACTIVE_BIASED_INIT, "object_name": "plate", "seed": 3, "scale_floor": 1e-6
+        }
+        record = result_from_document(self.document(config))
+        assert record.config["scale_floor"] == 1e-6 and record.total == 1100
+        assert "active-biased-init" in emit_table([record])[1]
+
 
 # each reader with a document of its schema whose builder fails: a missing
 # field (KeyError), a field of the wrong type (TypeError) or value (ValueError)
@@ -276,15 +332,6 @@ READERS = {
     "model": (model_from_document, "graspmc.model/1", [
         {},
         {"object": "plate", "modes": 3, "regions": [], "chain": {}},
-    ]),
-    "sketch": (sketch_from_document, "graspmc.sketch/1", [
-        {},
-        {"proposals": 5, "source_object": "plate", "position_sigma": 0.1, "kappa": 50.0},
-        {"proposals": [], "source_object": "plate", "position_sigma": 0.1, "kappa": 50.0},
-    ]),
-    "catalog": (catalog_from_document, "graspmc.objects/1", [
-        {},
-        {"objects": [{"name": "x", "sdf": {"type": "teapot"}, "bounds": {"lo": [0] * 3}}]},
     ]),
 }
 
@@ -323,6 +370,127 @@ class TestMalformedDocuments:
         with pytest.raises(error) as caught:
             read_document('{"schema": "s/1"}', "s/1", build)
         assert type(caught.value) is error
+
+
+@pytest.fixture(scope="module")
+def model_doc():
+    """A short active-biased-init model document, as a dict."""
+    cfg = ExperimentConfig(
+        experiment=ACTIVE_BIASED_INIT, object_name="plate", seed=4, iterations=4, burn_in=2,
+        demonstration_count=2,
+    )
+    _, model = run_experiment(cfg)
+    return json.loads(model_to_document(model))
+
+
+def set_path(doc, path, value):
+    *head, key = path
+    functools.reduce(operator.getitem, head, doc)[key] = value
+
+
+class TestModelDocuments:
+    """Model documents that load without error and would mislead a later
+    export or transfer must be refused when they are read."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("mode_densities",), [0.5]),
+            (("mode_densities", 0), -0.5),
+            (("mode_densities", 1), float("nan")),
+            (("chain", "seed_densities", 0), -1.0),
+            (("chain", "densities", 0), float("inf")),
+            (("chain", "proposals", 0, "density"), float("nan")),
+            (("chain", "seed_proposals", 0, "density"), -1.0),
+            (("chain", "states"), []),
+            (("chain", "densities"), [1.0]),
+            (("chain", "moves"), ["kameleon"]),
+            (("chain", "seed_densities"), [1.0]),
+            (("regions", 0, "center"), [0.0] * 6),
+            (("regions", 0, "rotation"), np.eye(6).tolist()),
+            (("regions", 1, "scales"), [1.0] * 8),
+            (("modes", 1), [0.0, 0.0, 0.05, 0.0, 0.0, 0.0, 0.0]),
+            (("chain", "proposals", 1, "state"), [0.0, 0.0, 0.05, 0.0, 0.0, 0.0, 0.0]),
+            (("chain", "seed_states"), [[0.1] * 6] * 2),
+        ],
+        ids=[
+            "mode-density-count", "negative-mode-density", "nan-mode-density",
+            "negative-seed-density", "infinite-chain-density", "nan-proposal-density",
+            "negative-seed-proposal-density", "states-shorter", "densities-shorter",
+            "moves-shorter", "seed-densities-shorter", "region-center-6d", "region-rotation-6d",
+            "region-scales-8d", "zero-mode-quaternion", "zero-proposal-quaternion",
+            "six-component-seed-states",
+        ],
+    )
+    def test_malformed_model_is_refused(self, model_doc, path, value):
+        doc = copy.deepcopy(model_doc)
+        set_path(doc, path, value)
+        with pytest.raises(InvalidDocument) as caught:
+            model_from_document(json.dumps(doc))
+        assert isinstance(caught.value.__cause__, ValueError)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_model_loads_and_exports_or_raises_invalid_document(self, model_doc, data):
+        doc = data.draw(mutated_documents(model_doc))
+        try:
+            model = model_from_document(json.dumps(doc))
+        except InvalidDocument:
+            return
+        except GraspMCError as error:  # the one library error the reader passes on
+            assert type(error) is GraspMCError and "square-root" in str(error)
+            return
+        json.loads(export_samples(model))
+        model_to_document(model)
+
+
+def json_paths(value, path=()):
+    """The path of every entry below a JSON value, depth first."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+OTHER_TYPES = [None, "text", True, 1.5, [], {}]
+
+
+@st.composite
+def mutated_documents(draw, doc):
+    """`doc` with one field dropped, given another type, made negative, NaN
+    or infinite, or (a list) resized. The field's top-level key is drawn
+    first, so the regions' and the chain's many entries do not crowd out
+    the modes and their densities."""
+    doc = copy.deepcopy(doc)
+    top = draw(st.sampled_from(sorted(doc)))
+    *head, key = draw(st.sampled_from([(top,), *json_paths(doc[top], (top,))]))
+    parent = functools.reduce(operator.getitem, head, doc)
+    value = parent[key]
+    kinds = ["type"] + (["drop"] if isinstance(parent, dict) else [])
+    if type(value) in (int, float):
+        kinds += ["negative", "nan", "inf"]
+    if isinstance(value, list) and value:
+        kinds += ["length"]
+    kind = draw(st.sampled_from(kinds))
+    event(kind)
+    if kind == "drop":
+        del parent[key]
+    elif kind == "type":
+        parent[key] = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(value)]))
+    elif kind == "negative":
+        parent[key] = -(abs(value) or 1.0)
+    elif kind == "nan":
+        parent[key] = float("nan")
+    elif kind == "inf":
+        parent[key] = draw(st.sampled_from([np.inf, -np.inf]))
+    else:
+        parent[key] = value[:-1] if draw(st.booleans()) else value + value[-1:]
+    return doc
 
 
 class TestEmitTable:
@@ -557,9 +725,10 @@ class TestCliVerbs:
         out = tmp_path / "sketch.json"
         cli_main(["sketch", "--object", "plate", "--seed", "0", "--iterations", "30",
                   "--out", str(out)])
-        sketch = sketch_from_document(out.read_text())
-        assert len(sketch.proposals) == 30 and sketch.source_object == "plate"
-        assert sketch.position_sigma == 0.10 and sketch.kappa == 50.0
+        doc = json.loads(out.read_text())
+        assert doc["schema"] == "graspmc.sketch/1"
+        assert len(doc["proposals"]) == 30 and doc["source_object"] == "plate"
+        assert doc["position_sigma"] == 0.10 and doc["kappa"] == 50.0
         assert "30 proposals on plate" in capsys.readouterr().out
 
     def test_demonstrate_writes_count_canonical_positive_grasps(self, tmp_path):

@@ -1,3 +1,7 @@
+import contextlib
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -211,15 +215,13 @@ class TestSurfaceSampling:
 
 class TestDemonstrations:
     def test_five_on_plate(self):
-        demos = demonstrate_grasps(
-            get_object("plate"), GRIPPER, 5, np.random.default_rng(0), max_attempts=500
-        )
+        demos = demonstrate_grasps(get_object("plate"), GRIPPER, 5, np.random.default_rng(0))
         assert len(demos) == 5
         assert all(q > 0.0 for _, q in demos)
 
     def test_small_sphere_always_graspable(self):
         ball = sphere_object(0.02)  # diameter under the jaw span
-        demos = demonstrate_grasps(ball, GRIPPER, 1, np.random.default_rng(1), max_attempts=500)
+        demos = demonstrate_grasps(ball, GRIPPER, 1, np.random.default_rng(1))
         assert demos[0][1] > 0.0
 
     def test_giant_box_fails(self):
@@ -230,8 +232,9 @@ class TestDemonstrations:
             -side * np.ones(3),
             side * np.ones(3),
         )
-        with pytest.raises(DemonstrationFailure):
-            demonstrate_grasps(box, GRIPPER, 1, np.random.default_rng(2), max_attempts=15)
+        with mock.patch.object(grasping, "DEMONSTRATION_ATTEMPTS", 15):
+            with pytest.raises(DemonstrationFailure):
+                demonstrate_grasps(box, GRIPPER, 1, np.random.default_rng(2))
 
     def test_deterministic_given_seed(self):
         a = demonstrate_grasps(get_object("pan"), GRIPPER, 2, np.random.default_rng(3))
@@ -301,10 +304,10 @@ def per_axis_normals(obj, points, h):
     return grads / np.maximum(np.linalg.norm(grads, axis=-1, keepdims=True), 1e-12)
 
 
-def reference_evaluate(grasp, obj, gripper=GRIPPER, config=DEFAULT_EVALUATION):
+def reference_evaluate(grasp, obj, gripper=GRIPPER):
     """The cascade with one jaw at a time, scalar bisection and per-axis
-    normals: 21 distance calls for a success at the default settings."""
-    lo, hi = workspace_bounds(obj, gripper, config)
+    normals: 21 distance calls for a success."""
+    lo, hi = workspace_bounds(obj, gripper)
     if np.any(grasp.position < lo) or np.any(grasp.position > hi):
         return GraspOutcome(MISS, 0.0)
     rotation = quat.rotation_matrix(grasp.orientation)
@@ -423,24 +426,16 @@ def test_success_makes_four_sdf_calls():
 # the batched demonstration search against one evaluate_grasp call per trial
 
 
-def reference_search(
-    obj,
-    gripper,
-    count,
-    rng,
-    config=DEFAULT_EVALUATION,
-    *,
-    max_attempts=10_000,
-    trials_per_point=200,
-    restart_every=25,
-    perturbation_kappa=150.0,
-):
+def reference_search(obj, gripper, count, rng):
     """demonstrate_grasps as a sequential hill climb: each trial draws its
-    random numbers and is evaluated by evaluate_grasp before the next."""
+    random numbers and is evaluated by evaluate_grasp before the next. The
+    search constants are read from `grasping` on each call, so patching one
+    sets it for both searches."""
+    restart_every, kappa = grasping.RESTART_EVERY, grasping.PERTURBATION_KAPPA
     found = []
     attempts = 0
     while len(found) < count:
-        if attempts >= max_attempts:
+        if attempts >= grasping.DEMONSTRATION_ATTEMPTS:
             raise DemonstrationFailure(
                 f"{attempts} attempts produced {len(found)}/{count} demonstrations"
             )
@@ -455,15 +450,15 @@ def reference_search(
         best_q = None
         best_quality = -1.0
         incumbent = None
-        for trial in range(trials_per_point):
+        for trial in range(grasping.TRIALS_PER_POINT):
             if trial % restart_every == 0 or incumbent is None:
                 roll = rng.uniform(-np.pi, np.pi)
                 candidate = _heuristic_orientation(point, normal, obj, roll)
             else:
                 candidate = quat.canonicalize(
-                    sample_vmf(VonMisesFisher(incumbent, perturbation_kappa), rng)
+                    sample_vmf(VonMisesFisher(incumbent, kappa), rng)
                 )
-            outcome = evaluate_grasp(Grasp(position, candidate), obj, gripper, config)
+            outcome = evaluate_grasp(Grasp(position, candidate), obj, gripper)
             if outcome.quality > best_quality:
                 best_quality, best_q = outcome.quality, candidate
                 incumbent = candidate
@@ -472,11 +467,11 @@ def reference_search(
     return found
 
 
-def search_result(search, obj, count, config=DEFAULT_EVALUATION, *, seed, **kwargs):
+def search_result(search, obj, count, *, seed):
     """(found or the failure's message, the generator's state after)."""
     rng = np.random.default_rng(seed)
     try:
-        found = search(obj, GRIPPER, count, rng, config, **kwargs)
+        found = search(obj, GRIPPER, count, rng)
         result = [(g.to_vector().tobytes(), q) for g, q in found]
     except DemonstrationFailure as failure:
         result = str(failure)
@@ -486,6 +481,18 @@ def search_result(search, obj, count, config=DEFAULT_EVALUATION, *, seed, **kwar
 # a workspace box equal to the object's bounds, so positions a millimetre
 # off a bounding face are culled
 TIGHT = EvaluationConfig(workspace_margin_factor=0.0)
+
+
+@contextlib.contextmanager
+def search_settings(config=DEFAULT_EVALUATION, **constants):
+    """Both searches with the workspace box of `config` and the search
+    constants `constants`, e.g. RESTART_EVERY=3."""
+    bounds = functools.partial(workspace_bounds, config=config)
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(grasping, "workspace_bounds", bounds))
+        for name, value in constants.items():
+            stack.enter_context(mock.patch.object(grasping, name, value))
+        yield
 
 
 @settings(max_examples=150, deadline=None)
@@ -502,16 +509,16 @@ TIGHT = EvaluationConfig(workspace_margin_factor=0.0)
 def test_batched_search_matches_sequential_search(
     obj, seed, count, attempts, trials, restart_every, kappa, config
 ):
-    kwargs = dict(
-        seed=seed,
-        max_attempts=attempts,
-        trials_per_point=trials,
-        restart_every=restart_every,
-        perturbation_kappa=kappa,
-    )
-    expected = search_result(reference_search, obj, count, config, **kwargs)
-    event("found" if isinstance(expected[0], list) else "failed")
-    assert search_result(demonstrate_grasps, obj, count, config, **kwargs) == expected
+    with search_settings(
+        config,
+        DEMONSTRATION_ATTEMPTS=attempts,
+        TRIALS_PER_POINT=trials,
+        RESTART_EVERY=restart_every,
+        PERTURBATION_KAPPA=kappa,
+    ):
+        expected = search_result(reference_search, obj, count, seed=seed)
+        event("found" if isinstance(expected[0], list) else "failed")
+        assert search_result(demonstrate_grasps, obj, count, seed=seed) == expected
 
 
 def test_batched_search_matches_sequential_search_at_defaults():
@@ -525,36 +532,24 @@ def test_culled_position_draws_every_trial_and_calls_no_sdf(monkeypatch):
     tight workspace culls every attempt."""
     side = 10.0 * GRIPPER.jaw_span
     box = ObjectModel("slab", sdf.Box([side] * 3), -side * np.ones(3), side * np.ones(3))
-    kwargs = dict(seed=4, max_attempts=3, trials_per_point=30)
-    expected = search_result(reference_search, box, 1, TIGHT, **kwargs)
-    assert expected[0] == "3 attempts produced 0/1 demonstrations"
 
     def never(*args):
         raise AssertionError("a culled attempt screened or gripped a pose")
 
-    monkeypatch.setattr(grasping, "_collides", never)
-    monkeypatch.setattr(grasping, "_grip", never)
-    assert search_result(demonstrate_grasps, box, 1, TIGHT, **kwargs) == expected
+    with search_settings(TIGHT, DEMONSTRATION_ATTEMPTS=3, TRIALS_PER_POINT=30):
+        expected = search_result(reference_search, box, 1, seed=4)
+        assert expected[0] == "3 attempts produced 0/1 demonstrations"
+        monkeypatch.setattr(grasping, "_collides", never)
+        monkeypatch.setattr(grasping, "_grip", never)
+        assert search_result(demonstrate_grasps, box, 1, seed=4) == expected
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        {"count": 0},
-        {"max_attempts": 0},
-        {"trials_per_point": 0},
-        {"restart_every": 0},
-        {"perturbation_kappa": -1.0},
-        {"perturbation_kappa": np.nan},
-        {"perturbation_kappa": np.inf},
-    ],
-)
+@pytest.mark.parametrize("bad", [{"count": 0}])
 def test_search_arguments_are_checked_before_any_draw(bad):
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    kwargs = {"count": 1, **bad}
     with pytest.raises(ValueError):
-        demonstrate_grasps(get_object("plate"), GRIPPER, kwargs.pop("count"), rng, **kwargs)
+        demonstrate_grasps(get_object("plate"), GRIPPER, bad["count"], rng)
     assert rng.bit_generator.state == before
 
 

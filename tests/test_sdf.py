@@ -105,21 +105,6 @@ def test_vectorized_matches_scalar():
     np.testing.assert_allclose(batch, single, rtol=0, atol=0)
 
 
-def test_dict_round_trip():
-    shape = sdf.Union(
-        [
-            sdf.Cylinder(0.2, 0.1).subtract(sdf.Cylinder(0.15, 0.2)),
-            sdf.CappedTorus(0.3, 0.05, 2.0).rotate([0.5, 0.5, 0.5, 0.5]).translate([0.1, 0, 0.2]),
-            sdf.Box([0.1, 0.2, 0.3]),
-            sdf.Sphere(0.4),
-        ]
-    )
-    clone = sdf.from_dict(shape.to_dict())
-    rng = np.random.default_rng(11)
-    pts = rng.uniform(-1, 1, size=(200, 3))
-    np.testing.assert_array_equal(shape.distance(pts), clone.distance(pts))
-
-
 CATALOG = object_catalog()
 # each object also in a frame moved by a general rotation and translation
 MOVED = [

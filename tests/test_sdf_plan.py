@@ -53,8 +53,6 @@ def reference_distance(node, points):
         return reference_distance(node.child, p @ node._inverse.T)
     if kind is sdf.Union:
         return np.minimum.reduce([reference_distance(c, p) for c in node.children])
-    if kind is sdf.Intersection:
-        return np.maximum.reduce([reference_distance(c, p) for c in node.children])
     if kind is sdf.Difference:
         return np.maximum(reference_distance(node.base, p), -reference_distance(node.cut, p))
     if kind is Rounded:
@@ -83,7 +81,6 @@ def composites(subtrees):
         st.builds(sdf.Translate, subtrees, offsets),
         st.builds(sdf.Rotate, subtrees, quaternions),
         st.builds(sdf.Union, st.lists(subtrees, min_size=1, max_size=4)),
-        st.builds(sdf.Intersection, st.lists(subtrees, min_size=1, max_size=4)),
         st.builds(sdf.Difference, subtrees, subtrees),
         st.builds(Rounded, subtrees, st.floats(0.0, 0.05)),
     )
@@ -93,7 +90,6 @@ trees = st.recursive(primitives, composites, max_leaves=10)
 # a CSG root, so every example evaluates through a plan
 csg_trees = st.one_of(
     st.builds(sdf.Union, st.lists(trees, min_size=1, max_size=4)),
-    st.builds(sdf.Intersection, st.lists(trees, min_size=1, max_size=4)),
     st.builds(sdf.Difference, trees, trees),
 )
 point_shapes = st.sampled_from(
@@ -180,8 +176,12 @@ def test_wrapper_on_a_root_counts_alone_and_inside_a_transformed_copy():
 
 def test_catalog_names_match_the_catalog_order():
     assert OBJECT_NAMES == tuple(obj.name for obj in CATALOG)
-    for name in OBJECT_NAMES:
-        assert get_object(name).to_dict() == CATALOG[OBJECT_NAMES.index(name)].to_dict()
+    points = np.random.default_rng(5).uniform(-0.2, 0.2, size=(500, 3))
+    for name, obj in zip(OBJECT_NAMES, CATALOG):
+        built = get_object(name)
+        assert same_bits(built.distance(points), obj.distance(points))
+        assert same_bits(built.bounds_lo, obj.bounds_lo)
+        assert same_bits(built.bounds_hi, obj.bounds_hi)
 
 
 # offsets and parameters from small sets, so a group often shares a column
@@ -200,12 +200,11 @@ shared_leaves = st.builds(sdf.Translate, shared_primitives, st.tuples(*[shared_v
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(shared_leaves, min_size=1, max_size=6),
-    st.sampled_from([sdf.Union, sdf.Intersection]),
     point_shapes,
     st.integers(0, 2**32 - 1),
 )
-def test_groups_with_shared_columns_match_reference_walk(leaves, combine, points_shape, seed):
-    shape = combine(leaves)
+def test_groups_with_shared_columns_match_reference_walk(leaves, points_shape, seed):
+    shape = sdf.Union(leaves)
     points = np.random.default_rng(seed).uniform(-0.3, 0.3, points_shape)
     # an exact zero and a negative zero, where x - 0.0 and x - (-0.0) differ
     points.reshape(-1, 3)[0] = [-0.0, 0.0, -0.0]
@@ -225,9 +224,8 @@ def test_groups_with_shared_columns_match_reference_walk(leaves, combine, points
 def test_group_of_equal_leaves_gives_every_slot_a_row(leaves):
     points = np.random.default_rng(6).uniform(-0.1, 0.1, size=(1500, 3))
     points[:2] = [[-0.0, 0.0, 0.0], [0.0, -0.0, -0.0]]
-    for combine in (sdf.Union, sdf.Intersection):
-        shape = combine(leaves).subtract(sdf.Sphere(0.01))
-        assert same_bits(shape.distance(points), reference_distance(shape, points))
+    shape = sdf.Union(leaves).subtract(sdf.Sphere(0.01))
+    assert same_bits(shape.distance(points), reference_distance(shape, points))
 
 
 def test_z_axis_cylinders_share_one_hypot(monkeypatch):
