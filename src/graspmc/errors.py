@@ -55,8 +55,9 @@ def read_document(text: str, schema: str, build: Callable[[dict], T]) -> T:
     """`build(doc)` for the JSON object `text` of this schema.
 
     Bad JSON, a non-object, another schema, or a KeyError, TypeError,
-    IndexError or ValueError inside `build` raise InvalidDocument; a
-    GraspMCError that `build` raises passes through unchanged.
+    IndexError, ValueError or OverflowError (an integer too large for a
+    float) inside `build` raise InvalidDocument; a GraspMCError that
+    `build` raises passes through unchanged.
     """
     try:
         doc = json.loads(text)
@@ -65,5 +66,5 @@ def read_document(text: str, schema: str, build: Callable[[dict], T]) -> T:
         return build(doc)
     except GraspMCError:
         raise
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise InvalidDocument(f"malformed {schema} document: {exc!r}") from exc

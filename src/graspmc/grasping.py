@@ -3,7 +3,7 @@
 A grasp is the 7-vector (x, y, z, qw, qx, qy, qz): tool-center-point
 position in the object's canonical frame plus the gripper orientation as a
 canonical unit quaternion. Evaluation runs a deterministic cascade:
-workspace cull, body-collision probe, jaw contact march, then an
+workspace cull, reach test, body-collision probe, jaw contact march, then an
 antipodality x friction-margin quality proxy standing in for a full
 wrench-space score. The proxy keeps what the samplers need: nonnegative,
 zero on failure, smooth near good grasps.
@@ -11,6 +11,7 @@ zero on failure, smooth near good grasps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -138,20 +139,30 @@ def _bisect(
         # node j of level l is column 2**l - 1 + j; its children are 2j and 2j + 1
         ts = np.concatenate(mids, axis=1)
         points = starts[lines, None, :] + ts[:, :, None] * directions[lines, None, :]
-        inside = (obj.distance(points.reshape(-1, 3)) <= 0.0).reshape(ts.shape)
-        for row, line in enumerate(lines):
+        inside = (obj.distance(points.reshape(-1, 3)) <= 0.0).reshape(ts.shape).tolist()
+        for line, line_ts, line_inside in zip(lines, ts.tolist(), inside):
             node = 0
             for level in range(len(mids)):
                 if not hi[line] - lo[line] > tol:
                     break
                 index = 2**level - 1 + node
-                if inside.item(row, index):
-                    hi[line] = ts.item(row, index)
+                if line_inside[index]:
+                    hi[line] = line_ts[index]
                     node = 2 * node
                 else:
-                    lo[line] = ts.item(row, index)
+                    lo[line] = line_ts[index]
                     node = 2 * node + 1
     return starts + (0.5 * (np.array(lo) + np.array(hi)))[:, None] * directions
+
+
+MARCH_STEPS = 128  # a jaw line is sampled at MARCH_STEPS + 1 evenly spaced points
+
+
+@lru_cache(maxsize=8)
+def _march_ts(span: float) -> np.ndarray:
+    ts = np.linspace(0.0, span, MARCH_STEPS + 1)
+    ts.flags.writeable = False  # the cache hands this one array to every caller
+    return ts
 
 
 def _jaw_contacts(
@@ -160,12 +171,11 @@ def _jaw_contacts(
     """First surface crossing on each line from starts[i] along directions[i],
     or None when some line has none within span.
 
-    One distance call samples every line at 129 points; a line whose first
-    sample is inside contacts there, the others bisect their first
-    crossing's bracket to width tol.
+    One distance call samples every line at MARCH_STEPS + 1 points; a line
+    whose first sample is inside contacts there, the others bisect their
+    first crossing's bracket to width tol.
     """
-    steps = 128
-    ts = np.linspace(0.0, span, steps + 1)
+    ts = _march_ts(span)
     points = starts[:, None, :] + ts[None, :, None] * directions[:, None, :]
     inside = obj.distance(points.reshape(-1, 3)).reshape(len(starts), -1) <= 0.0
     if not np.all(np.any(inside, axis=1)):
@@ -180,6 +190,16 @@ def _jaw_contacts(
     return contacts
 
 
+REACH_SLACK = 1e-9  # rounding allowance of the reach test, m
+
+
+@lru_cache(maxsize=8)
+def _reach(gripper: GripperModel) -> float:
+    """Farthest a probe point or a jaw-march sample lies from the tool centre point."""
+    radius = float(np.max(np.linalg.norm(probe_points(gripper), axis=1)))
+    return max(radius, 0.5 * gripper.jaw_span)
+
+
 def evaluate_grasp(grasp: Grasp, obj: ObjectModel, gripper: GripperModel) -> GraspOutcome:
     """Deterministic outcome cascade: collision, miss, then quality.
 
@@ -192,16 +212,32 @@ def evaluate_grasp(grasp: Grasp, obj: ObjectModel, gripper: GripperModel) -> Gra
        is antipodality times the worse of the two friction-cone margins,
        normalized so a perfect antipodal aligned grasp scores 1;
     5. at or below the quality threshold the grasp Slipped, else Success.
+
+    Stages 2 and 3 only look at points within `_reach(gripper)` of the tool
+    centre point, and stage 3 only within half the jaw span. The object's
+    bounds box contains it, so a point more than REACH_SLACK outside the
+    box has a positive distance: it neither collides nor makes a contact.
+    Hence a pose whose clearance from the box, less REACH_SLACK, exceeds
+    the reach is a Miss with no SDF call, and one whose clearance exceeds
+    half the jaw span is a Miss without the march unless it collides. Both
+    verdicts are the full cascade's.
     """
+    position = grasp.position
     lo, hi = workspace_bounds(obj, gripper)
-    if np.any(grasp.position < lo) or np.any(grasp.position > hi):
+    if (position < lo).any() or (position > hi).any():
+        return GraspOutcome(MISS, 0.0)
+    gap = np.maximum(np.maximum(obj.bounds_lo - position, position - obj.bounds_hi), 0.0)
+    clearance = math.sqrt(float(gap.dot(gap))) - REACH_SLACK
+    if clearance > _reach(gripper):
         return GraspOutcome(MISS, 0.0)
 
     rotation = quat.rotation_matrix(grasp.orientation)
-    probes = probe_points(gripper) @ rotation.T + grasp.position
+    probes = probe_points(gripper) @ rotation.T + position
     if float(np.min(obj.distance(probes))) < -COLLISION_TOLERANCE:
         return GraspOutcome(COLLISION, 0.0)
-    return _grip(grasp.position, rotation, obj, gripper)
+    if clearance > 0.5 * gripper.jaw_span:
+        return GraspOutcome(MISS, 0.0)
+    return _grip(position, rotation, obj, gripper)
 
 
 def _grip(
@@ -266,12 +302,12 @@ def make_target(obj: ObjectModel, gripper: GripperModel) -> TargetFn:
 def _orthonormal_to(n: np.ndarray) -> np.ndarray:
     helper = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
     t = np.cross(n, helper)
-    return t / np.linalg.norm(t)
+    return t / math.sqrt(float(t.dot(t)))
 
 
 def _frame_orientation(closing: np.ndarray, approach: np.ndarray) -> np.ndarray:
     y = np.cross(approach, closing)
-    y /= np.linalg.norm(y)
+    y /= math.sqrt(float(y.dot(y)))
     approach = np.cross(closing, y)
     return quat.from_rotation_matrix(np.column_stack([closing, y, approach]))
 
@@ -280,10 +316,10 @@ def _heuristic_orientation(
     point: np.ndarray, normal: np.ndarray, obj: ObjectModel, roll: float
 ) -> np.ndarray:
     """Closing axis along the surface normal, approach rolled by `roll` about it."""
-    closing = normal / np.linalg.norm(normal)
+    closing = normal / math.sqrt(float(normal.dot(normal)))
     inward = obj.bounds_center() - point
     inward -= closing * float(inward @ closing)
-    norm = float(np.linalg.norm(inward))
+    norm = math.sqrt(float(inward.dot(inward)))
     approach = inward / norm if norm > 1e-9 else _orthonormal_to(closing)
     tangent = np.cross(closing, approach)
     approach = np.cos(roll) * approach + np.sin(roll) * tangent
@@ -378,13 +414,14 @@ def _climb(
             else quat.canonicalize(orient_vmf(mean, draws[t]))
             for t in range(trial, end)
         ]
-        grasps = [Grasp(position, candidate) for candidate in candidates]
-        rotations = [quat.rotation_matrix(grasp.orientation) for grasp in grasps]
-        probes = np.stack([lattice @ r.T + g.position for g, r in zip(grasps, rotations)])
+        # the rotation of Grasp(position, candidate), whose canonical form
+        # may differ from the candidate in its last bits
+        rotations = [quat.rotation_matrix(quat.canonicalize(c)) for c in candidates]
+        probes = np.stack([lattice @ r.T + position for r in rotations])
         collided = _collides(obj, probes)
-        for candidate, grasp, rotation, hit in zip(candidates, grasps, rotations, collided):
+        for candidate, rotation, hit in zip(candidates, rotations, collided):
             trial += 1
-            quality = 0.0 if hit else _grip(grasp.position, rotation, obj, gripper).quality
+            quality = 0.0 if hit else _grip(position, rotation, obj, gripper).quality
             if quality > best_quality:
                 best_q, best_quality = candidate, quality
                 break

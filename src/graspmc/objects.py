@@ -17,6 +17,12 @@ from . import sdf
 
 @dataclass(frozen=True)
 class ObjectModel:
+    """A named shape and an axis-aligned box [bounds_lo, bounds_hi] that
+    contains it: every point outside the box has a positive distance. The
+    workspace cull, the reach test of `grasping.evaluate_grasp` and
+    `grasping.sample_surface_point` rely on this. `transformed` keeps it,
+    since its box is that of the moved corners."""
+
     name: str
     shape: sdf.Sdf
     bounds_lo: np.ndarray

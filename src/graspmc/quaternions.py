@@ -8,6 +8,8 @@ samplers measure Euclidean distances between quaternion blocks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ZeroQuaternion
@@ -21,8 +23,10 @@ def canonicalize(q: np.ndarray) -> np.ndarray:
 
     Raises ZeroQuaternion if the norm is at or below MIN_NORM.
     """
-    q = np.asarray(q, dtype=float)
-    norm = float(np.linalg.norm(q))
+    # np.linalg.norm(q) is sqrt(q.dot(q)) on a contiguous copy; a strided
+    # dot may sum in another order
+    q = np.ascontiguousarray(q, dtype=float)
+    norm = math.sqrt(float(q.dot(q)))
     if norm <= MIN_NORM:
         raise ZeroQuaternion(f"quaternion norm {norm:g} too small")
     q = q / norm

@@ -17,6 +17,7 @@ from .errors import GraspMCError, read_document
 from .grasping import GRASP_DIM, Grasp
 from .history import MOVE_DTYPE, OUTCOME_CODES, OUTCOME_LABELS, ChainHistory, rows
 from .learning import LearnedModel, RoughSketch
+from .objects import OBJECT_NAMES
 
 MODEL_SCHEMA = "graspmc.model/1"
 
@@ -30,12 +31,29 @@ def _records(states, densities, accepted, outcomes) -> list[dict]:
     ]
 
 
+_NUMBER = (int, float)  # json.loads gives a number exactly one of these types
+_FLAG = (bool,)
+
+
+def _typed(name: str, value, types: tuple = _NUMBER):
+    """`value` if it is a JSON value of one of `types` or a nested list of
+    them; raises TypeError on anything else, so a boolean or a string is
+    no number and a number or a string no flag."""
+    if type(value) is list:
+        for entry in value:
+            if type(entry) not in types:
+                _typed(name, entry, types)
+    elif type(value) not in types:
+        raise TypeError(f"{name} must hold {' or '.join(t.__name__ for t in types)}, not {value!r}")
+    return value
+
+
 def _columns(records: list[dict]) -> tuple[np.ndarray, ...]:
     """The state, density, accepted and outcome-code columns of `records`."""
     return (
-        rows([r["state"] for r in records]),
-        np.array([r["density"] for r in records], dtype=float),
-        np.array([r["accepted"] for r in records], dtype=bool),
+        rows(_typed("states", [r["state"] for r in records])),
+        np.array(_typed("densities", [r["density"] for r in records]), dtype=float),
+        np.array(_typed("accepted", [r["accepted"] for r in records], _FLAG), dtype=bool),
         np.array([OUTCOME_CODES[r.get("outcome")] for r in records], dtype=np.int8),
     )
 
@@ -66,14 +84,15 @@ def history_from_dict(doc: dict) -> ChainHistory:
     """The history written by `history_to_dict`; each step's decision is
     read from its proposal record, not the document's repeated list.
     Raises ValueError on a negative or non-finite density, or on seed or
-    step columns of different lengths."""
+    step columns of different lengths, and TypeError unless its states and
+    densities are JSON numbers and its flags JSON booleans."""
     h = ChainHistory(
-        bool(doc["proposal_sourced"]),
-        rows(doc["seed_states"]),
-        np.array(doc["seed_densities"], dtype=float),
+        _typed("proposal_sourced", doc["proposal_sourced"], _FLAG),
+        rows(_typed("seed_states", doc["seed_states"])),
+        np.array(_typed("seed_densities", doc["seed_densities"]), dtype=float),
         *_columns(doc["seed_proposals"]),
-        rows(doc["states"]),
-        np.array(doc["densities"], dtype=float),
+        rows(_typed("states", doc["states"])),
+        np.array(_typed("densities", doc["densities"]), dtype=float),
         *_columns(doc["proposals"]),
         np.array(doc["moves"], dtype=MOVE_DTYPE),
     )
@@ -100,13 +119,16 @@ def _region_to_dict(region: JumpRegion) -> dict:
 def _region_from_dict(doc: dict) -> JumpRegion:
     if doc["sqrt_scales"]:
         raise GraspMCError("jump regions with square-root semi-axes are not supported")
+    arrays = ("center", "rotation", "scales")
     region = JumpRegion(
-        np.asarray(doc["center"], dtype=float),
-        np.asarray(doc["rotation"], dtype=float),
-        np.asarray(doc["scales"], dtype=float),
-        float(doc["epsilon"]),
-        float(doc["volume"]),
+        *(np.asarray(_typed(key, doc[key]), dtype=float) for key in arrays),
+        *(float(_typed(key, doc[key])) for key in ("epsilon", "volume")),
     )
+    if not (0.0 < region.epsilon < np.inf and 0.0 < region.volume < np.inf):
+        raise ValueError(
+            f"region epsilon {region.epsilon!r} and volume {region.volume!r}"
+            " must be positive and finite"
+        )
     shapes = (region.center.shape, region.rotation.shape, region.scales.shape)
     if shapes != ((GRASP_DIM,), (GRASP_DIM, GRASP_DIM), (GRASP_DIM,)):
         raise ValueError(f"region center, rotation and scales have shapes {shapes}")
@@ -153,17 +175,22 @@ def model_from_document(text: str) -> LearnedModel:
 
 
 def _model_from_dict(doc: dict) -> LearnedModel:
-    """Raises ValueError unless the modes and the chain's states and
-    proposals are finite grasp vectors, the regions are grasp-sized, and
-    there is one finite nonnegative density per mode."""
-    modes = rows(doc["modes"])
+    """Raises ValueError unless the object is a catalog name, the modes and
+    the chain's states and proposals are finite grasp vectors, the regions
+    are grasp-sized with a positive finite epsilon and volume, and there is
+    one finite nonnegative density per mode. Raises TypeError unless the
+    modes, their densities, the regions' fields and the chain's states and
+    densities are JSON numbers, and the chain's flags JSON booleans."""
+    if doc["object"] not in OBJECT_NAMES:
+        raise ValueError(f"unknown object {doc['object']!r}")
+    modes = rows(_typed("modes", doc["modes"]))
     chain = history_from_dict(doc["chain"])
     _check_grasps("modes", modes)
     for name in ("seed_states", "seed_proposals", "states", "proposals"):
         _check_grasps(name, getattr(chain, name))
     densities = doc.get("mode_densities")
     if densities is not None:
-        densities = [float(d) for d in densities]
+        densities = [float(d) for d in _typed("mode_densities", densities)]
         _check_densities("mode_densities", np.array(densities))
         if len(densities) != len(modes):
             raise ValueError(f"{len(densities)} mode densities for {len(modes)} modes")

@@ -11,6 +11,7 @@ known and `orient_vmf` apply it later.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,10 @@ class VonMisesFisher:
     kappa: float
 
     def __post_init__(self) -> None:
-        mu = np.asarray(self.mean_direction, dtype=float)
+        mu = np.ascontiguousarray(self.mean_direction, dtype=float)
         if mu.ndim != 1 or mu.size not in _SUPPORTED_DIMS:
             raise ValueError(f"mean direction must live in R^3 or R^4, got shape {mu.shape}")
-        if abs(float(np.linalg.norm(mu)) - 1.0) > 1e-9:
+        if abs(math.sqrt(float(mu.dot(mu))) - 1.0) > 1e-9:
             raise ValueError("mean direction must be unit length")
         if not np.isfinite(self.kappa) or self.kappa < 0.0:
             raise ValueError("kappa must be a finite nonnegative real")
@@ -72,13 +73,13 @@ def draw_vmf(kappa: float, dim: int, rng: np.random.Generator) -> np.ndarray:
     if kappa == 0.0:
         while True:
             raw = rng.standard_normal(dim)
-            norm = np.linalg.norm(raw)
+            norm = math.sqrt(float(raw.dot(raw)))
             if norm > 1e-12:
                 return raw / norm
     w = _radial_component(kappa, dim, rng)
     while True:
         tangent = rng.standard_normal(dim - 1)
-        norm = np.linalg.norm(tangent)
+        norm = math.sqrt(float(tangent.dot(tangent)))
         if norm > 1e-12:
             tangent /= norm
             break
@@ -90,7 +91,7 @@ def orient_vmf(dist: VonMisesFisher, drawn: np.ndarray) -> np.ndarray:
     if dist.kappa == 0.0:
         return drawn
     sample = _rotate_from_e1(dist.mean_direction, drawn)
-    return sample / np.linalg.norm(sample)
+    return sample / math.sqrt(float(sample.dot(sample)))
 
 
 def sample_vmf(dist: VonMisesFisher, rng: np.random.Generator) -> np.ndarray:
@@ -104,7 +105,7 @@ def _rotate_from_e1(mu: np.ndarray, x: np.ndarray) -> np.ndarray:
     e1 = np.zeros_like(mu)
     e1[0] = 1.0
     v = e1 - mu
-    norm = np.linalg.norm(v)
+    norm = math.sqrt(float(v.dot(v)))
     if norm < 1e-12:
         return x.copy()
     v /= norm

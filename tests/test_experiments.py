@@ -353,7 +353,7 @@ class TestMalformedDocuments:
                 read(json.dumps({"schema": schema, **doc}))
             assert isinstance(caught.value.__cause__, (KeyError, TypeError, ValueError))
 
-    @pytest.mark.parametrize("error", [KeyError, TypeError, IndexError, ValueError])
+    @pytest.mark.parametrize("error", [KeyError, TypeError, IndexError, ValueError, OverflowError])
     def test_builder_error_is_wrapped(self, error):
         def build(doc):
             raise error("bad field")
@@ -429,6 +429,48 @@ class TestModelDocuments:
             model_from_document(json.dumps(doc))
         assert isinstance(caught.value.__cause__, ValueError)
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("mode_densities", 0), "0.5"),
+            (("mode_densities", 1), True),
+            (("modes", 0, 0), "0.01"),
+            (("modes", 1, 4), False),
+            (("object",), None),
+            (("object",), "plat"),
+            (("object",), ["plate"]),
+            (("regions", 0, "epsilon"), -1.0),
+            (("regions", 0, "epsilon"), 0.0),
+            (("regions", 1, "epsilon"), "0.7"),
+            (("regions", 0, "volume"), float("nan")),
+            (("regions", 1, "volume"), float("inf")),
+            (("regions", 0, "center", 2), "0.05"),
+            (("modes", 0, 1), 10**400),
+            (("chain", "states", 0, 0), "0.01"),
+            (("chain", "densities", 0), True),
+            (("chain", "proposals", 0, "density"), "0.5"),
+            (("chain", "seed_proposals", 0, "state", 3), "1"),
+            (("chain", "proposals", 0, "accepted"), "no"),
+            (("chain", "proposals", 1, "accepted"), 0),
+            (("chain", "proposal_sourced"), "false"),
+        ],
+        ids=[
+            "mode-density-string", "mode-density-boolean", "mode-component-string",
+            "mode-component-boolean", "null-object", "unknown-object", "list-object",
+            "negative-epsilon", "zero-epsilon", "epsilon-string", "nan-volume",
+            "infinite-volume", "region-center-string", "mode-component-overflows-a-float",
+            "chain-state-string", "chain-density-boolean", "proposal-density-string",
+            "seed-proposal-state-string", "accepted-string", "accepted-number",
+            "proposal-sourced-string",
+        ],
+    )
+    def test_mistyped_or_out_of_range_field_is_refused(self, model_doc, path, value):
+        doc = copy.deepcopy(model_doc)
+        set_path(doc, path, value)
+        with pytest.raises(InvalidDocument) as caught:
+            model_from_document(json.dumps(doc))
+        assert isinstance(caught.value.__cause__, (TypeError, ValueError, OverflowError))
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_mutated_model_loads_and_exports_or_raises_invalid_document(self, model_doc, data):
@@ -463,7 +505,7 @@ OTHER_TYPES = [None, "text", True, 1.5, [], {}]
 @st.composite
 def mutated_documents(draw, doc):
     """`doc` with one field dropped, given another type, made negative, NaN
-    or infinite, or (a list) resized. The field's top-level key is drawn
+    or infinite, given as a string (a number), or (a list) resized. The field's top-level key is drawn
     first, so the regions' and the chain's many entries do not crowd out
     the modes and their densities."""
     doc = copy.deepcopy(doc)
@@ -473,7 +515,7 @@ def mutated_documents(draw, doc):
     value = parent[key]
     kinds = ["type"] + (["drop"] if isinstance(parent, dict) else [])
     if type(value) in (int, float):
-        kinds += ["negative", "nan", "inf"]
+        kinds += ["negative", "nan", "inf", "string"]
     if isinstance(value, list) and value:
         kinds += ["length"]
     kind = draw(st.sampled_from(kinds))
@@ -488,6 +530,8 @@ def mutated_documents(draw, doc):
         parent[key] = float("nan")
     elif kind == "inf":
         parent[key] = draw(st.sampled_from([np.inf, -np.inf]))
+    elif kind == "string":
+        parent[key] = repr(value)
     else:
         parent[key] = value[:-1] if draw(st.booleans()) else value + value[-1:]
     return doc

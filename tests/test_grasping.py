@@ -21,6 +21,7 @@ from graspmc.grasping import (
     MISS,
     OUTCOME_KINDS,
     QUALITY_THRESHOLD,
+    REACH_SLACK,
     SLIPPED,
     SUCCESS,
     TARGET_MEMO_SIZE,
@@ -35,6 +36,7 @@ from graspmc.grasping import (
     _heuristic_orientation,
     _jaw_contacts,
     _material_thickness,
+    _reach,
     workspace_bounds,
 )
 from graspmc.gripper import default_gripper, probe_points
@@ -419,6 +421,60 @@ def test_success_makes_four_sdf_calls():
     outcome = evaluate_grasp(rim_pinch_grasp(), plate, GRIPPER)
     assert outcome.kind == SUCCESS
     assert plate.shape.calls == 4
+
+
+def test_pose_beyond_reach_makes_no_sdf_call():
+    plate = counting(get_object("plate"))
+    grasp = rim_pinch_grasp(radius=0.1 + 0.1)  # 0.1 m off the rim, inside the workspace
+    assert evaluate_grasp(grasp, plate, GRIPPER) == GraspOutcome(MISS, 0.0)
+    assert plate.shape.calls == 0
+    assert reference_evaluate(grasp, get_object("plate")) == GraspOutcome(MISS, 0.0)
+
+
+def test_pose_beyond_the_jaws_makes_one_sdf_call():
+    # 0.035 m off the rim, palm facing away: past half the jaw span, within
+    # the palm's reach, and no probe collides
+    plate = counting(get_object("plate"))
+    grasp = rim_pinch_grasp(radius=0.1 + 0.035)
+    assert 0.5 * GRIPPER.jaw_span < 0.035 < _reach(GRIPPER)
+    assert evaluate_grasp(grasp, plate, GRIPPER) == GraspOutcome(MISS, 0.0)
+    assert plate.shape.calls == 1
+    assert reference_evaluate(grasp, get_object("plate")) == GraspOutcome(MISS, 0.0)
+
+
+@st.composite
+def workspace_poses(draw):
+    """(object, grasp) up to 0.12 m from a point of the object's bounds box,
+    in any orientation; often about as far as the palm reaches."""
+    obj = draw(shapes)
+    fractions = np.array(draw(st.tuples(unit, unit, unit)))
+    inside = obj.bounds_lo + fractions * (obj.bounds_hi - obj.bounds_lo)
+    reach = st.floats(0.5 * GRIPPER.jaw_span, _reach(GRIPPER) + 0.005)  # the palm's zone
+    length = draw(st.one_of(st.floats(0.0, 0.12), reach))
+    offset = length * unit_vector(draw(st.tuples(signed, signed, signed)))
+    q = np.array(draw(st.tuples(signed, signed, signed, signed)))
+    return obj, Grasp(inside + offset, q if q @ q > 1e-3 else [1.0, 0.0, 0.0, 0.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(workspace_poses())
+def test_reach_test_agrees_with_the_full_cascade(case):
+    obj, grasp = case
+    ours, theirs = counting(obj), counting(obj)
+    outcome = evaluate_grasp(grasp, ours, GRIPPER)
+    assert outcome == reference_evaluate(grasp, theirs)
+    position = grasp.position
+    outside = np.maximum(np.maximum(obj.bounds_lo - position, position - obj.bounds_hi), 0.0)
+    clearance = float(np.linalg.norm(outside)) - REACH_SLACK
+    if clearance > _reach(GRIPPER):
+        event("beyond reach")
+        assert ours.shape.calls == 0
+    elif clearance > 0.5 * GRIPPER.jaw_span:
+        event("beyond the jaws")
+        assert ours.shape.calls == 1
+    else:
+        event(outcome.kind)
+        assert ours.shape.calls <= theirs.shape.calls
 
 
 

@@ -1,8 +1,14 @@
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graspmc import quaternions as quat
 from graspmc import sdf
+from graspmc.grasping import REACH_SLACK
 from graspmc.objects import get_object, object_catalog
 
 
@@ -34,6 +40,60 @@ def test_bounds_contain_object():
         if inside.size:
             assert np.all(inside >= obj.bounds_lo - 1e-9), obj.name
             assert np.all(inside <= obj.bounds_hi + 1e-9), obj.name
+
+
+CATALOG = object_catalog()
+MOVED = [
+    obj.transformed(
+        quat.from_axis_angle([2.0 - i, 1.0, 0.5 * i], 0.2 + 0.6 * i), [-0.3, 0.1 * i, 0.2]
+    )
+    for i, obj in enumerate(CATALOG)
+]
+
+
+
+@functools.cache
+def farthest_inside(index):
+    """For each (axis, side), an inside point of object `index` of
+    CATALOG + MOVED that comes closest to that face of its bounds box."""
+    obj = (CATALOG + MOVED)[index]
+    points = np.random.default_rng(index).uniform(obj.bounds_lo, obj.bounds_hi, (100_000, 3))
+    inside = points[obj.distance(points) < 0.0]
+    return {
+        (axis, side): inside[np.argmax(side * inside[:, axis])]
+        for axis in range(3)
+        for side in (-1, 1)
+    }
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(0, len(CATALOG + MOVED) - 1),
+    st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    st.booleans(),
+    st.tuples(*[st.sampled_from([-1, 0, 1])] * 3).filter(any),
+    st.tuples(*[st.one_of(st.floats(0.0, 1e-6), st.floats(0.0, 0.1))] * 3),
+)
+def test_points_beyond_the_bounds_box_are_outside(index, fractions, near_object, faces, gaps):
+    """The evaluation cascade's reach test relies on this: a point more than
+    REACH_SLACK outside the bounds box has a positive distance. The point
+    is pushed out through the faces from a random point of the box or, to
+    find a box that cuts the shape, from the inside point nearest one of
+    those faces."""
+    obj = (CATALOG + MOVED)[index]
+    if near_object:
+        axis = next(a for a, face in enumerate(faces) if face)
+        point = farthest_inside(index)[axis, faces[axis]].copy()
+    else:
+        point = obj.bounds_lo + np.array(fractions) * (obj.bounds_hi - obj.bounds_lo)
+    for axis, (face, gap) in enumerate(zip(faces, gaps)):
+        if face < 0:
+            point[axis] = obj.bounds_lo[axis] - gap
+        elif face > 0:
+            point[axis] = obj.bounds_hi[axis] + gap
+    outside = np.maximum(np.maximum(obj.bounds_lo - point, point - obj.bounds_hi), 0.0)
+    assume(math.sqrt(float(outside @ outside)) > REACH_SLACK)
+    assert obj.distance(point[None, :])[0] > 0.0, (obj.name, point.tolist())
 
 
 def test_variant_proportions():

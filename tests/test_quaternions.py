@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graspmc import quaternions as quat
 from graspmc.errors import ZeroQuaternion
@@ -59,3 +63,29 @@ def test_multiply_composes_rotations():
 def test_axis_angle_quarter_turn():
     q = quat.from_axis_angle([0, 0, 1], np.pi / 2)
     np.testing.assert_allclose(quat.rotate_vector(q, [1, 0, 0]), [0, 1, 0], atol=1e-12)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.sampled_from([3, 4, 7]).flatmap(
+        lambda n: st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+    ),
+    st.floats(-6.0, 3.0),
+)
+def test_dot_norm_is_numpy_norm(components, exponent):
+    """canonicalize, the vMF sampler and the grasp-frame helpers take the
+    norm of a contiguous 1-D vector as sqrt(v.dot(v)), bit for bit with
+    np.linalg.norm(v); numpy computes it that way, but nothing promises it."""
+    v = np.array(components)
+    length = math.sqrt(float(v.dot(v)))
+    if length == 0.0:
+        return
+    v *= 10.0**exponent / length  # magnitudes 1e-6 to 1e3
+    assert math.sqrt(float(v.dot(v))).hex() == float(np.linalg.norm(v)).hex()
+
+
+def test_canonicalize_of_a_strided_quaternion_is_that_of_its_copy():
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        block = rng.standard_normal((4, 2))
+        assert np.array_equal(quat.canonicalize(block[:, 0]), quat.canonicalize(block[:, 0].copy()))

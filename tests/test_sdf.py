@@ -65,25 +65,25 @@ def test_csg_signs():
     assert both.distance(np.array([0.5, 0.0, 0.0])) > 0
 
 
-@pytest.mark.parametrize(
-    "shape",
-    [
-        sdf.Sphere(0.3),
-        sdf.Box([0.2, 0.3, 0.1]),
-        sdf.Cylinder(0.25, 0.4),
-        sdf.CappedTorus(0.3, 0.05, 2.0),
-        sdf.Union([sdf.Sphere(0.2), sdf.Box([0.1, 0.4, 0.1])]),
-        sdf.Cylinder(0.3, 0.2).subtract(sdf.Cylinder(0.2, 0.3)),
-    ],
-)
+LIPSCHITZ_SHAPES = [
+    sdf.Sphere(0.3),
+    sdf.Box([0.2, 0.3, 0.1]),
+    sdf.Cylinder(0.25, 0.4),
+    sdf.CappedTorus(0.3, 0.05, 2.0),
+    sdf.Union([sdf.Sphere(0.2), sdf.Box([0.1, 0.4, 0.1])]),
+    sdf.Cylinder(0.3, 0.2).subtract(sdf.Cylinder(0.2, 0.3)),
+]
+
+
+@pytest.mark.parametrize("shape", LIPSCHITZ_SHAPES)
 def test_lipschitz_property(shape):
-    # |d(a) - d(b)| <= (1 + 1e-3) ||a - b|| on random pairs
-    rng = np.random.default_rng(hash(type(shape).__name__) % 2**32)
+    # |d(a) - d(b)| <= (1 + 1e-6) ||a - b|| + 1e-12 on random pairs, seeded
+    # by the shape's place in the list so every run draws the same pairs
+    rng = np.random.default_rng(LIPSCHITZ_SHAPES.index(shape))
     a = rng.uniform(-1, 1, size=(2000, 3))
     b = a + rng.normal(scale=0.1, size=(2000, 3))
     gap = np.abs(shape.distance(a) - shape.distance(b))
-    dist = np.linalg.norm(a - b, axis=1)
-    assert np.all(gap <= dist * (1 + 1e-3) + 1e-12)
+    assert np.all(gap <= np.linalg.norm(a - b, axis=1) * (1 + 1e-6) + 1e-12)
 
 
 def test_gradient_unit_norm_near_surface():
