@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import GraspMCError, InvalidConfig
 from .experiments import (
     _FIELD_KINDS,
     ACTIVE_BIASED_INIT,
@@ -34,7 +34,7 @@ from .experiments import (
 from .grasping import demonstrate_grasps
 from .gripper import default_gripper
 from .learning import build_rough_sketch
-from .objects import get_object, object_catalog
+from .objects import OBJECT_NAMES, get_object, object_catalog
 from .serialization import model_from_document, model_to_document, sketch_to_document
 
 LEARN_EXPERIMENTS = (RANDOM_WALK_BASELINE, ACTIVE_RANDOM_INIT, ACTIVE_BIASED_INIT)
@@ -61,6 +61,25 @@ def _seed_range(text: str) -> range:
     if not match or int(match[1]) > int(match[2]):
         raise argparse.ArgumentTypeError(f"expected a..b with integers a <= b, not {text!r}")
     return range(int(match[1]), int(match[2]) + 1)
+
+
+def _integer_at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, not {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, not {value}")
+        return value
+
+    return parse
+
+
+_NONNEGATIVE = _integer_at_least(0)
+_POSITIVE = _integer_at_least(1)
 
 
 def _add_seed_flags(parser: argparse.ArgumentParser) -> None:
@@ -171,24 +190,26 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sketch", help="run a random-walk sketch on an object")
-    p.add_argument("--object", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--iterations", type=int, default=_DEFAULTS["burn_in"] + _DEFAULTS["iterations"])
+    p.add_argument("--object", choices=OBJECT_NAMES, required=True)
+    p.add_argument("--seed", type=_NONNEGATIVE, required=True)
+    p.add_argument(
+        "--iterations", type=_POSITIVE, default=_DEFAULTS["burn_in"] + _DEFAULTS["iterations"]
+    )
     p.add_argument("--position-sigma", type=float, default=_DEFAULTS["position_sigma"])
     p.add_argument("--kappa", type=float, default=_DEFAULTS["kappa"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sketch)
 
     p = sub.add_parser("demonstrate", help="generate demonstrated grasps")
-    p.add_argument("--object", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=_DEFAULTS["demonstration_count"])
+    p.add_argument("--object", choices=OBJECT_NAMES, required=True)
+    p.add_argument("--seed", type=_NONNEGATIVE, required=True)
+    p.add_argument("--count", type=_POSITIVE, default=_DEFAULTS["demonstration_count"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_demonstrate)
 
     p = sub.add_parser("learn", help="run a baseline or active-learning preset")
     p.add_argument("--experiment", choices=LEARN_EXPERIMENTS, required=True)
-    p.add_argument("--object", required=True)
+    p.add_argument("--object", choices=OBJECT_NAMES, required=True)
     _add_seed_flags(p)
     p.add_argument("--out-dir", default="results")
     _add_config_flags(p)
@@ -196,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("transfer", help="run a transfer-learning preset")
     p.add_argument("--experiment", choices=TRANSFER_EXPERIMENTS, required=True)
-    p.add_argument("--object", required=True, help="the novel object")
+    p.add_argument("--object", choices=OBJECT_NAMES, required=True, help="the novel object")
     p.add_argument("--source", required=True, help="LearnedModel JSON from a learn run")
     _add_seed_flags(p)
     p.add_argument("--out-dir", default="results")
@@ -218,7 +239,10 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_objects)
 
     args = parser.parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except GraspMCError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     return 0
 
 

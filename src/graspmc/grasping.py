@@ -55,8 +55,11 @@ class Grasp:
         position = np.asarray(self.position, dtype=float)
         if position.shape != (3,) or not np.all(np.isfinite(position)):
             raise ValueError("position must be a finite 3-vector")
+        orientation = np.asarray(self.orientation, dtype=float)
+        if orientation.shape != (4,) or not np.all(np.isfinite(orientation)):
+            raise ValueError("orientation must be a finite 4-vector")
         object.__setattr__(self, "position", position)
-        object.__setattr__(self, "orientation", quat.canonicalize(self.orientation))
+        object.__setattr__(self, "orientation", quat.canonicalize(orientation))
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.position, self.orientation])
@@ -414,9 +417,7 @@ def _climb(
             else quat.canonicalize(orient_vmf(mean, draws[t]))
             for t in range(trial, end)
         ]
-        # the rotation of Grasp(position, candidate), whose canonical form
-        # may differ from the candidate in its last bits
-        rotations = [quat.rotation_matrix(quat.canonicalize(c)) for c in candidates]
+        rotations = [quat.rotation_matrix(c) for c in candidates]
         probes = np.stack([lattice @ r.T + position for r in rotations])
         collided = _collides(obj, probes)
         for candidate, rotation, hit in zip(candidates, rotations, collided):

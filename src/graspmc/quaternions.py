@@ -4,53 +4,50 @@ Quaternions are kept in canonical form everywhere: unit norm and w >= 0,
 with the q / -q double cover resolved by a sign flip (if w == 0, the first
 nonzero component is made positive). Canonical form matters because the
 samplers measure Euclidean distances between quaternion blocks.
+`canonicalize` is idempotent bit for bit: a quaternion already unit to
+within UNIT_SLACK keeps its components, up to the sign flip, and every
+quaternion it returns is that close to unit. So a canonical state is
+evaluated exactly as recorded.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .errors import ZeroQuaternion
 
-UNIT_TOLERANCE = 1e-9
 MIN_NORM = 1e-12  # a quaternion of this norm or less has no direction to normalize
+# |q.q - 1| up to which q counts as unit. The q.q of a normalized 4-vector
+# is within 6 eps of 1: 2 from the first dot, 1 each from the square root
+# and the division, 2 from the second dot.
+UNIT_SLACK = 8 * sys.float_info.epsilon
 
 
 def canonicalize(q: np.ndarray) -> np.ndarray:
-    """Normalize a 4-vector and resolve the double-cover sign.
+    """Normalize a 4-vector and resolve the double-cover sign, in a new array.
 
+    A 4-vector already unit to within UNIT_SLACK keeps its components, up
+    to the sign flip, so canonicalize(canonicalize(q)) is canonicalize(q).
     Raises ZeroQuaternion if the norm is at or below MIN_NORM.
     """
-    # np.linalg.norm(q) is sqrt(q.dot(q)) on a contiguous copy; a strided
-    # dot may sum in another order
-    q = np.ascontiguousarray(q, dtype=float)
-    norm = math.sqrt(float(q.dot(q)))
-    if norm <= MIN_NORM:
-        raise ZeroQuaternion(f"quaternion norm {norm:g} too small")
-    q = q / norm
-    if q[0] < 0.0:
-        q = -q
-    elif q[0] == 0.0:
-        for component in q[1:]:
-            if component != 0.0:
-                if component < 0.0:
-                    q = -q
-                break
+    # a new contiguous array: np.linalg.norm(q) is sqrt(q.dot(q)) on one,
+    # and a strided dot may sum in another order
+    q = np.array(q, dtype=float)
+    squared = float(q.dot(q))
+    if not abs(squared - 1.0) <= UNIT_SLACK:
+        norm = math.sqrt(squared)
+        if norm <= MIN_NORM:
+            raise ZeroQuaternion(f"quaternion norm {norm:g} too small")
+        q /= norm
+    for component in q:  # the first nonzero one: w, unless w == 0
+        if component != 0.0:
+            if component < 0.0:
+                q = -q
+            break
     return q
-
-
-def is_canonical_unit(q: np.ndarray) -> bool:
-    q = np.asarray(q, dtype=float)
-    if abs(float(np.linalg.norm(q)) - 1.0) > UNIT_TOLERANCE:
-        return False
-    if q[0] > 0.0:
-        return True
-    if q[0] < 0.0:
-        return False
-    nonzero = q[np.nonzero(q)[0]]
-    return nonzero.size == 0 or nonzero[0] > 0.0
 
 
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -146,17 +146,6 @@ def _check_grasps(name: str, block: np.ndarray) -> None:
         raise ValueError(f"{name} hold a zero quaternion")
 
 
-def _mode_from_list(values) -> Grasp:
-    """A stored mode, its quaternion kept bit for bit when already a
-    canonical unit: `quaternions.canonicalize` is not idempotent in
-    floating point, so canonicalizing again could move its last bits."""
-    vector = np.asarray(values, dtype=float)
-    grasp = Grasp.from_vector(vector)
-    if quat.is_canonical_unit(vector[3:]):
-        object.__setattr__(grasp, "orientation", vector[3:].copy())
-    return grasp
-
-
 def model_to_document(model: LearnedModel) -> str:
     doc = {
         "schema": MODEL_SCHEMA,
@@ -197,7 +186,7 @@ def _model_from_dict(doc: dict) -> LearnedModel:
     return LearnedModel(
         doc["object"],
         chain,
-        [_mode_from_list(m) for m in modes],
+        [Grasp.from_vector(m) for m in modes],
         [_region_from_dict(r) for r in doc["regions"]],
         dict(doc.get("config") or {}),
         mode_densities=densities,

@@ -37,7 +37,7 @@ from graspmc.experiments import (
     result_to_document,
     run_experiment,
 )
-from graspmc.grasping import demonstrate_grasps
+from graspmc.grasping import Grasp, demonstrate_grasps
 from graspmc.gripper import GripperModel, default_gripper
 from graspmc.learning import Tally
 from graspmc.objects import OBJECT_NAMES, get_object
@@ -129,6 +129,19 @@ class TestRunExperiment:
         assert model is None
         assert record.sketch_evaluations == 0
         assert len(record.trace) == 80
+
+    def test_every_recorded_state_is_the_one_evaluated(self):
+        """The target evaluates Grasp.from_vector(state); canonicalize leaves
+        a recorded quaternion as it is, so that is the recorded state."""
+        cfg = ExperimentConfig(
+            experiment=ACTIVE_BIASED_INIT, object_name="plate", seed=0, iterations=200, burn_in=50
+        )
+        _, model = run_experiment(cfg)
+        chain = model.chain
+        assert len(chain.proposals) == 250
+        for name in ("seed_states", "seed_proposals", "states", "proposals"):
+            for state in getattr(chain, name):
+                assert Grasp.from_vector(state).to_vector().tobytes() == state.tobytes(), name
 
     def test_biased_run_writes_model_and_counts_sketch(self):
         cfg = ExperimentConfig(
@@ -722,12 +735,56 @@ class TestCli:
 
     # not JSON, not a JSON object, and a field ExperimentConfig does not have
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"scale_floor": 1e-06}'])
-    def test_malformed_config_file_raises_invalid_config(self, text, tmp_path):
+    def test_malformed_config_file_raises_invalid_config(self, text, tmp_path, capsys):
+        """The InvalidConfig is reported as a usage error, with no traceback."""
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(text)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(SystemExit) as caught:
             cli_main(["learn", "--experiment", RANDOM_WALK_BASELINE, "--object", "saucer",
                       "--seed", "0", "--config", str(cfg_file), "--out-dir", str(tmp_path)])
+        assert caught.value.code == 2
+        assert re.fullmatch(
+            r"graspmc: error: (--config \S+ (is not JSON: .*|does not hold a JSON object)"
+            r"|unknown config fields: \['scale_floor'\])\n",
+            capsys.readouterr().err,
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("sketch --object nope --seed 0", "argument --object: invalid choice"),
+            ("sketch --object plate --seed -1", "argument --seed: expected an integer >= 0"),
+            ("sketch --object plate --seed 0 --iterations 0",
+             "argument --iterations: expected an integer >= 1"),
+            ("demonstrate --object nope --seed 0", "argument --object: invalid choice"),
+            ("demonstrate --object plate --seed -1", "argument --seed: expected an integer >= 0"),
+            ("demonstrate --object plate --seed x", "argument --seed: expected an integer, not 'x'"),
+            ("demonstrate --object plate --seed 0 --count 0",
+             "argument --count: expected an integer >= 1"),
+            (f"learn --experiment {RANDOM_WALK_BASELINE} --object nope --seed 0",
+             "argument --object: invalid choice"),
+            (f"transfer --experiment {TRANSFER_SIMILAR_MODES} --object nope --seed 0"
+             " --source missing.json", "argument --object: invalid choice"),
+        ],
+    )
+    def test_bad_argument_is_a_usage_error(self, argv, message, tmp_path, capsys):
+        verb = argv.split()[0]
+        out = "--out" if verb in ("sketch", "demonstrate") else "--out-dir"
+        with pytest.raises(SystemExit) as caught:
+            cli_main(argv.split() + [out, str(tmp_path / "out")])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: graspmc {verb}") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_library_error_is_reported_as_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as caught:
+            cli_main(["learn", "--experiment", ACTIVE_BIASED_INIT, "--object", "plate",
+                      "--seed", "0", "--iterations", "0", "--out-dir", str(tmp_path / "runs")])
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "graspmc: error: iterations must be at least 1, not 0\n"
+        assert captured.out == "" and not (tmp_path / "runs").exists()
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -782,7 +839,9 @@ class TestCliVerbs:
         assert doc["object"] == "plate"
         assert len(doc["grasps"]) == 5  # ExperimentConfig.demonstration_count's default
         for grasp in doc["grasps"]:
-            assert len(grasp["state"]) == 7 and quat.is_canonical_unit(grasp["state"][3:])
+            orientation = np.array(grasp["state"][3:])
+            assert len(grasp["state"]) == 7 and orientation[0] > 0.0
+            assert quat.canonicalize(orientation).tobytes() == orientation.tobytes()
             assert grasp["quality"] > 0.0
         cli_main(["demonstrate", "--object", "plate", "--seed", "0", "--count", "2",
                   "--out", str(out)])

@@ -82,12 +82,18 @@ class TestOutcomeTypes:
     def test_grasp_vector_round_trip(self):
         g = rim_pinch_grasp()
         clone = Grasp.from_vector(g.to_vector())
-        np.testing.assert_allclose(clone.position, g.position)
-        np.testing.assert_allclose(clone.orientation, g.orientation)
+        assert clone.to_vector().tobytes() == g.to_vector().tobytes()
 
     def test_rejects_nonfinite_position(self):
         with pytest.raises(ValueError):
             Grasp(np.array([np.nan, 0, 0]), np.array([1.0, 0, 0, 0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_orientation(self, bad):
+        with pytest.raises(ValueError, match="orientation"):
+            Grasp(np.zeros(3), np.array([bad, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="orientation"):
+            Grasp.from_vector(np.array([0.0, 0.0, 0.0, 1.0, 0.0, bad, 0.0]))
 
 
 class TestEvaluateGrasp:

@@ -31,7 +31,41 @@ def test_canonical_invariants_on_random_inputs():
     for _ in range(500):
         q = quat.canonicalize(rng.standard_normal(4) * 10)
         assert abs(np.linalg.norm(q) - 1.0) <= 1e-9
-        assert quat.is_canonical_unit(q)
+        assert q[0] >= 0.0
+        assert quat.canonicalize(q).tobytes() == q.tobytes()
+
+
+# components from tiny to large, exact zeros and signed zeros among them;
+# |x| <= 1e150 keeps q.q finite
+_COMPONENT = st.one_of(
+    st.floats(-1e150, 1e150, allow_nan=False),
+    st.floats(-1.0, 1.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(_COMPONENT, min_size=4, max_size=4))
+def test_canonicalize_is_a_bitwise_fixed_point_on_its_outputs(components):
+    q = np.array(components)
+    if math.sqrt(float(q.dot(q))) <= quat.MIN_NORM:
+        return
+    once = quat.canonicalize(q)
+    twice = quat.canonicalize(once)
+    assert twice.tobytes() == once.tobytes()
+    assert not np.shares_memory(once, q) and not np.shares_memory(twice, once)
+    assert once[0] > 0.0 or (once[0] == 0.0 and once[np.flatnonzero(once)[0]] > 0.0)
+
+
+def test_canonicalize_keeps_a_canonical_quaternion_and_returns_a_copy():
+    q = quat.canonicalize(np.array([0.5, -0.5, 0.5, 0.5]) * (1.0 + 2e-16))
+    assert q[0] == 0.5 * (1.0 + 2e-16)
+    view = np.concatenate([[1.0, 2.0, 3.0], q])[3:]
+    view.flags.writeable = False
+    out = quat.canonicalize(view)
+    assert out.tobytes() == q.tobytes() and out.flags.writeable
+    out[0] = 0.0
+    assert view[0] == q[0]
 
 
 def test_rotation_matrix_is_orthogonal():
