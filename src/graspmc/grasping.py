@@ -109,6 +109,32 @@ def workspace_bounds(
 BISECTION_LEVELS = 8  # most bisection steps of one line resolved per distance call
 
 
+@lru_cache(maxsize=1024)
+def _midpoints(lo: float, hi: float, tol: float) -> np.ndarray:
+    """Every midpoint the bisection of [lo, hi] to width tol can visit in its
+    next BISECTION_LEVELS steps, level by level: node j of level l is entry
+    2**l - 1 + j, and its children are nodes 2j and 2j + 1 of level l + 1.
+    The levels stop early at the first one whose brackets are all no wider
+    than tol. A march bracket recurs on every line that crosses there, so
+    its midpoints are built once.
+    """
+    # every bracket end and midpoint in order along the line: the brackets
+    # of level l are consecutive runs of 2**(BISECTION_LEVELS - l)
+    cuts = np.empty(2**BISECTION_LEVELS + 1)
+    cuts[0], cuts[-1] = lo, hi
+    mids = []
+    while len(mids) < BISECTION_LEVELS:
+        run = 2 ** (BISECTION_LEVELS - len(mids))
+        lower, upper = cuts[:-1:run], cuts[run::run]
+        if not (upper - lower > tol).any():
+            break
+        mids.append(0.5 * (lower + upper))
+        cuts[run // 2::run] = mids[-1]
+    ts = np.concatenate(mids)
+    ts.flags.writeable = False  # the cache hands this one array to every caller
+    return ts
+
+
 def _bisect(
     obj: ObjectModel,
     starts: np.ndarray,
@@ -122,39 +148,33 @@ def _bisect(
     Equal to running `while hi - lo > tol: mid = 0.5 * (lo + hi)`, keeping
     the half whose end is inside, on every line, but with one distance call
     per BISECTION_LEVELS steps: the call evaluates every midpoint the
-    bisections could visit, built by the same recurrence, and the steps are
-    then replayed on the midpoints' signs, in Python floats.
+    bisections could visit (`_midpoints`), and the steps are then replayed
+    on the midpoints' signs, in Python floats.
     """
     lo, hi = lo.tolist(), hi.tolist()
     while lines := [i for i in range(len(lo)) if hi[i] - lo[i] > tol]:
-        # every bracket end and midpoint of a line in order along it: the
-        # brackets of level l are consecutive runs of 2**(BISECTION_LEVELS - l)
-        cuts = np.empty((len(lines), 2**BISECTION_LEVELS + 1))
-        cuts[:, 0], cuts[:, -1] = [lo[i] for i in lines], [hi[i] for i in lines]
-        mids = []
-        while len(mids) < BISECTION_LEVELS:
-            run = 2 ** (BISECTION_LEVELS - len(mids))
-            lower, upper = cuts[:, :-1:run], cuts[:, run::run]
-            if not (upper - lower > tol).any():
-                break
-            mids.append(0.5 * (lower + upper))
-            cuts[:, run // 2::run] = mids[-1]
-        # node j of level l is column 2**l - 1 + j; its children are 2j and 2j + 1
-        ts = np.concatenate(mids, axis=1)
-        points = starts[lines, None, :] + ts[:, :, None] * directions[lines, None, :]
-        inside = (obj.distance(points.reshape(-1, 3)) <= 0.0).reshape(ts.shape).tolist()
-        for line, line_ts, line_inside in zip(lines, ts.tolist(), inside):
+        mids = [_midpoints(lo[i], hi[i], tol) for i in lines]
+        sizes = [len(m) for m in mids]
+        ts = np.concatenate(mids)
+        points = np.repeat(starts[lines], sizes, axis=0) + ts[:, None] * np.repeat(
+            directions[lines], sizes, axis=0
+        )
+        inside = (obj.distance(points) <= 0.0).tolist()
+        ts = ts.tolist()
+        first = 0
+        for line, size in zip(lines, sizes):
             node = 0
-            for level in range(len(mids)):
+            for level in range(size.bit_length()):  # size is 2**levels - 1
                 if not hi[line] - lo[line] > tol:
                     break
-                index = 2**level - 1 + node
-                if line_inside[index]:
-                    hi[line] = line_ts[index]
+                index = first + 2**level - 1 + node
+                if inside[index]:
+                    hi[line] = ts[index]
                     node = 2 * node
                 else:
-                    lo[line] = line_ts[index]
+                    lo[line] = ts[index]
                     node = 2 * node + 1
+            first += size
     return starts + (0.5 * (np.array(lo) + np.array(hi)))[:, None] * directions
 
 
@@ -170,27 +190,29 @@ def _march_ts(span: float) -> np.ndarray:
 
 def _jaw_contacts(
     obj: ObjectModel, starts: np.ndarray, directions: np.ndarray, span: float, tol: float
-) -> np.ndarray | None:
-    """First surface crossing on each line from starts[i] along directions[i],
-    or None when some line has none within span.
+) -> tuple[np.ndarray, np.ndarray]:
+    """First surface crossings on pairs of lines: line j of pair k runs from
+    starts[k, j] along directions[k, j]. Returns the indices of the pairs
+    whose two lines both cross within span, and those pairs' crossings.
 
     One distance call samples every line at MARCH_STEPS + 1 points; a line
-    whose first sample is inside contacts there, the others bisect their
-    first crossing's bracket to width tol.
+    whose first sample is inside contacts there, the others of the pairs
+    that cross bisect their first crossing's bracket to width tol.
     """
     ts = _march_ts(span)
-    points = starts[:, None, :] + ts[None, :, None] * directions[:, None, :]
-    inside = obj.distance(points.reshape(-1, 3)).reshape(len(starts), -1) <= 0.0
-    if not np.all(np.any(inside, axis=1)):
-        return None
-    first = np.argmax(inside, axis=1)
-    contacts = points[np.arange(len(starts)), first]
-    lines = np.nonzero(first > 0)[0]
+    points = starts[..., None, :] + ts[:, None] * directions[..., None, :]
+    inside = obj.distance(points.reshape(-1, 3)).reshape(points.shape[:-1]) <= 0.0
+    pairs = np.flatnonzero(np.all(np.any(inside, axis=2), axis=1))
+    first = np.argmax(inside[pairs], axis=2).ravel()
+    points = points[pairs].reshape(-1, len(ts), 3)
+    contacts = points[np.arange(len(points)), first]
+    lines = np.flatnonzero(first > 0)
     if lines.size:
+        starts, directions = starts[pairs].reshape(-1, 3), directions[pairs].reshape(-1, 3)
         contacts[lines] = _bisect(
             obj, starts[lines], directions[lines], ts[first[lines] - 1], ts[first[lines]], tol
         )
-    return contacts
+    return pairs, contacts.reshape(-1, 2, 3)
 
 
 REACH_SLACK = 1e-9  # rounding allowance of the reach test, m
@@ -240,38 +262,45 @@ def evaluate_grasp(grasp: Grasp, obj: ObjectModel, gripper: GripperModel) -> Gra
         return GraspOutcome(COLLISION, 0.0)
     if clearance > 0.5 * gripper.jaw_span:
         return GraspOutcome(MISS, 0.0)
-    return _grip(position, rotation, obj, gripper)
+    return _grips(position, rotation[None], obj, gripper)[0]
 
 
-def _grip(
-    position: np.ndarray, rotation: np.ndarray, obj: ObjectModel, gripper: GripperModel
-) -> GraspOutcome:
-    """Stages 3-5 of evaluate_grasp, for a pose whose body does not collide."""
-    closing = rotation @ CLOSING_AXIS
+def _grips(
+    position: np.ndarray, rotations: np.ndarray, obj: ObjectModel, gripper: GripperModel
+) -> list[GraspOutcome]:
+    """Stages 3-5 of evaluate_grasp for the poses at `position` in the
+    (K, 3, 3) `rotations`, whose bodies do not collide: one march call, at
+    most one bisection call and one normal call for all K. A point's
+    distance does not depend on the batch it is evaluated in, so each
+    outcome is the one the pose gets alone."""
+    closings = rotations @ CLOSING_AXIS
     half_span = 0.5 * gripper.jaw_span
     sides = np.array([[1.0], [-1.0]])
-    contacts = _jaw_contacts(
+    pairs, contacts = _jaw_contacts(
         obj,
-        position + sides * half_span * closing,
-        -sides * closing,
+        position + sides * half_span * closings[:, None, :],
+        -sides * closings[:, None, :],
         gripper.jaw_span,
         CONTACT_TOLERANCE,
     )
-    if contacts is None:
-        return GraspOutcome(MISS, 0.0)
-
-    normals = obj.normal(contacts)
-    n1, n2 = normals[0], normals[1]
-    antipodality = max(0.0, -float(n1 @ n2))
+    outcomes = [GraspOutcome(MISS, 0.0)] * len(rotations)
+    if not pairs.size:
+        return outcomes
+    normals = obj.normal(contacts.reshape(-1, 3)).reshape(-1, 2, 3)
     cos_friction = 1.0 / np.sqrt(1.0 + FRICTION_COEFFICIENT**2)
-    margins = [
-        max(0.0, abs(float(n @ closing)) - cos_friction) / (1.0 - cos_friction)
-        for n in (n1, n2)
-    ]
-    quality = antipodality * min(margins)
-    if quality <= QUALITY_THRESHOLD:
-        return GraspOutcome(SLIPPED, 0.0)
-    return GraspOutcome(SUCCESS, float(quality))
+    for k, (n1, n2) in zip(pairs.tolist(), normals):
+        closing = closings[k]
+        antipodality = max(0.0, -float(n1 @ n2))
+        margins = [
+            max(0.0, abs(float(n @ closing)) - cos_friction) / (1.0 - cos_friction)
+            for n in (n1, n2)
+        ]
+        quality = antipodality * min(margins)
+        outcomes[k] = (
+            GraspOutcome(SLIPPED, 0.0) if quality <= QUALITY_THRESHOLD
+            else GraspOutcome(SUCCESS, float(quality))
+        )
+    return outcomes
 
 
 TARGET_MEMO_SIZE = 256  # most recent states whose values a target remembers
@@ -302,16 +331,23 @@ def make_target(obj: ObjectModel, gripper: GripperModel) -> TargetFn:
     return density
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two 3-vectors, bit for bit: the same products and differences."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _orthonormal_to(n: np.ndarray) -> np.ndarray:
     helper = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    t = np.cross(n, helper)
+    t = _cross(n, helper)
     return t / math.sqrt(float(t.dot(t)))
 
 
 def _frame_orientation(closing: np.ndarray, approach: np.ndarray) -> np.ndarray:
-    y = np.cross(approach, closing)
+    y = _cross(approach, closing)
     y /= math.sqrt(float(y.dot(y)))
-    approach = np.cross(closing, y)
+    approach = _cross(closing, y)
     return quat.from_rotation_matrix(np.column_stack([closing, y, approach]))
 
 
@@ -324,7 +360,7 @@ def _heuristic_orientation(
     inward -= closing * float(inward @ closing)
     norm = math.sqrt(float(inward.dot(inward)))
     approach = inward / norm if norm > 1e-9 else _orthonormal_to(closing)
-    tangent = np.cross(closing, approach)
+    tangent = _cross(closing, approach)
     approach = np.cos(roll) * approach + np.sin(roll) * tangent
     return _frame_orientation(closing, approach)
 
@@ -362,15 +398,19 @@ RESTART_EVERY = 25  # trials from one heuristic-frame restart to the next
 PERTURBATION_KAPPA = 150.0  # vMF concentration of a perturbation of the incumbent
 
 
-def _collides(obj: ObjectModel, probes: np.ndarray) -> np.ndarray:
-    """evaluate_grasp's collision verdict, min < -COLLISION_TOLERANCE, for each pose
-    whose probe points are one row of the (poses, points, 3) `probes`.
+def _collides(
+    obj: ObjectModel, gripper: GripperModel, position: np.ndarray, rotations: np.ndarray
+) -> np.ndarray:
+    """evaluate_grasp's collision verdict, min < -COLLISION_TOLERANCE, for
+    each pose at `position` in the (K, 3, 3) `rotations`.
 
     One distance call on every COARSE_STRIDE-th probe of every pose decides
     the poses it finds penetrating. One more call on the other probes of the
     rest completes their minimum. A point's distance does not depend on the
-    batch it is evaluated in, so each verdict is evaluate_grasp's.
+    batch it is evaluated in, and the batched product gives each pose the
+    probe points evaluate_grasp builds, so each verdict is evaluate_grasp's.
     """
+    probes = probe_points(gripper) @ rotations.transpose(0, 2, 1) + position
     coarse = obj.distance(probes[:, ::COARSE_STRIDE]).min(axis=1)
     hit = coarse < -COLLISION_TOLERANCE
     undecided = np.flatnonzero(~hit)
@@ -385,23 +425,22 @@ def _collides(obj: ObjectModel, probes: np.ndarray) -> np.ndarray:
 def _climb(
     obj: ObjectModel,
     gripper: GripperModel,
-    point: np.ndarray,
-    normal: np.ndarray,
+    restarts: dict[int, np.ndarray],
     position: np.ndarray,
     draws: list,
 ) -> tuple[np.ndarray, float]:
     """Keep-best orientation search at one position: (best orientation,
     best quality) over one trial per entry of `draws`.
 
-    Trial t is a restart, the heuristic frame at the surface point rolled by
-    `draws[t]`, when t is a multiple of RESTART_EVERY, and otherwise the vMF
-    perturbation of the incumbent that the draw `draws[t]` orients. The
-    result is that of evaluating the trials one by one with evaluate_grasp:
-    the trials up to the next restart are built from the current incumbent
-    and screened for collision together, then walked in order, and the
-    batch is rebuilt after the first one that improves.
+    Trial t is the restart frame `restarts[t]` when t is a multiple of
+    RESTART_EVERY, and otherwise the vMF perturbation of the incumbent that
+    the draw `draws[t]` orients. The result is that of evaluating the
+    trials one by one with evaluate_grasp: the trials up to the next
+    restart are built from the current incumbent, screened for collision
+    together, and the ones that do not collide gripped together (`_grips`).
+    They are then walked in order, and the batch is rebuilt after the first
+    one that improves.
     """
-    lattice = probe_points(gripper)
     best_q: np.ndarray | None = None
     best_quality = -1.0
     trial = 0
@@ -412,17 +451,18 @@ def _climb(
             end = min(len(draws), (trial // RESTART_EVERY + 1) * RESTART_EVERY)
             mean = VonMisesFisher(best_q, PERTURBATION_KAPPA)
         candidates = [
-            _heuristic_orientation(point, normal, obj, draws[t])
-            if t % RESTART_EVERY == 0
+            restarts[t] if t % RESTART_EVERY == 0
             else quat.canonicalize(orient_vmf(mean, draws[t]))
             for t in range(trial, end)
         ]
-        rotations = [quat.rotation_matrix(c) for c in candidates]
-        probes = np.stack([lattice @ r.T + position for r in rotations])
-        collided = _collides(obj, probes)
-        for candidate, rotation, hit in zip(candidates, rotations, collided):
+        rotations = np.array([quat.rotation_matrix(c) for c in candidates])
+        clear = np.flatnonzero(~_collides(obj, gripper, position, rotations))
+        qualities = [0.0] * len(candidates)
+        if clear.size:
+            for k, outcome in zip(clear.tolist(), _grips(position, rotations[clear], obj, gripper)):
+                qualities[k] = outcome.quality
+        for candidate, quality in zip(candidates, qualities):
             trial += 1
-            quality = 0.0 if hit else _grip(position, rotation, obj, gripper).quality
             if quality > best_quality:
                 best_q, best_quality = candidate, quality
                 break
@@ -479,7 +519,11 @@ def demonstrate_grasps(
         ]
         if np.any(position < lo) or np.any(position > hi):
             continue
-        best_q, best_quality = _climb(obj, gripper, point, normal, position, draws)
+        restarts = {
+            t: _heuristic_orientation(point, normal, obj, draws[t])
+            for t in range(0, TRIALS_PER_POINT, RESTART_EVERY)
+        }
+        best_q, best_quality = _climb(obj, gripper, restarts, position, draws)
         if best_quality > 0.0:
             found.append((Grasp(position, best_q), best_quality))
     return found

@@ -31,12 +31,16 @@ def canonicalize(q: np.ndarray) -> np.ndarray:
 
     A 4-vector already unit to within UNIT_SLACK keeps its components, up
     to the sign flip, so canonicalize(canonicalize(q)) is canonicalize(q).
+    One whose q.q overflows is first divided by its largest |component|.
     Raises ZeroQuaternion if the norm is at or below MIN_NORM.
     """
     # a new contiguous array: np.linalg.norm(q) is sqrt(q.dot(q)) on one,
     # and a strided dot may sum in another order
     q = np.array(q, dtype=float)
     squared = float(q.dot(q))
+    if not math.isfinite(squared):  # q.q overflows past components of about 1e154
+        q /= np.max(np.abs(q))
+        squared = float(q.dot(q))
     if not abs(squared - 1.0) <= UNIT_SLACK:
         norm = math.sqrt(squared)
         if norm <= MIN_NORM:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,12 +46,19 @@ class VonMisesFisher:
         return self.mean_direction.size
 
 
-def _radial_component(kappa: float, p: int, rng: np.random.Generator) -> float:
-    # Wood's VM* algorithm; the b expression is the numerically stable form.
-    m = p - 1
+@lru_cache(maxsize=16)
+def _wood_constants(kappa: float, m: int) -> tuple[float, float, float]:
+    # Wood's b, x0 and c; the b expression is the numerically stable form.
     b = m / (2.0 * kappa + np.sqrt(4.0 * kappa * kappa + m * m))
     x0 = (1.0 - b) / (1.0 + b)
     c = kappa * x0 + m * np.log(1.0 - x0 * x0)
+    return b, x0, c
+
+
+def _radial_component(kappa: float, p: int, rng: np.random.Generator) -> float:
+    # Wood's VM* algorithm
+    m = p - 1
+    b, x0, c = _wood_constants(kappa, m)
     while True:
         z = rng.beta(0.5 * m, 0.5 * m)
         w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)

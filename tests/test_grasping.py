@@ -33,6 +33,8 @@ from graspmc.grasping import (
     evaluate_grasp,
     make_target,
     sample_surface_point,
+    _cross,
+    _grips,
     _heuristic_orientation,
     _jaw_contacts,
     _material_thickness,
@@ -381,11 +383,12 @@ def test_jaw_contacts_match_scalar_bisection(obj, fractions, offset, axis, tol):
     sides = np.array([[1.0], [-1.0]])
     starts, directions = center + sides * (0.5 * span) * closing, -sides * closing
     expected = [scalar_march_contact(obj, s, d, span, tol) for s, d in zip(starts, directions)]
-    contacts = _jaw_contacts(obj, starts, directions, span, tol)
+    pairs, contacts = _jaw_contacts(obj, starts[None], directions[None], span, tol)
     if any(e is None for e in expected):
-        assert contacts is None
+        assert pairs.size == 0 and contacts.shape == (0, 2, 3)
     else:
-        assert np.array_equal(contacts, np.array(expected))
+        assert pairs.tolist() == [0]
+        assert np.array_equal(contacts[0], np.array(expected))
 
 
 @st.composite
@@ -420,6 +423,52 @@ def test_evaluate_grasp_matches_reference_with_no_more_sdf_calls(case):
     assert ours.shape.calls <= theirs.shape.calls
     if outcome.kind in (SUCCESS, SLIPPED):
         assert ours.shape.calls <= 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(grip_poses(), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_grips_on_k_rotations_equal_k_single_grips(case, k, seed):
+    """The K poses gripped together get the outcomes they get one by one,
+    quality bytes included: rotations of the pose perturbed by vMF draws
+    around it, and some uniformly random ones."""
+    obj, grasp = case
+    rng = np.random.default_rng(seed)
+    orientations = [
+        quat.canonicalize(sample_vmf(VonMisesFisher(grasp.orientation, kappa), rng))
+        for kappa in rng.choice([0.0, 20.0, 150.0, 1e4], size=k)
+    ]
+    rotations = np.array([quat.rotation_matrix(q) for q in orientations])
+    together = _grips(grasp.position, rotations, obj, GRIPPER)
+    alone = [_grips(grasp.position, r[None], obj, GRIPPER)[0] for r in rotations]
+    for outcome in together:
+        event(outcome.kind)
+    assert [o.kind for o in together] == [o.kind for o in alone]
+    assert np.array(
+        [o.quality for o in together]).tobytes() == np.array([o.quality for o in alone]).tobytes()
+
+
+def test_grips_make_three_sdf_calls_for_a_batch():
+    plate = counting(get_object("plate"))
+    grasps = [rim_pinch_grasp(azimuth=a) for a in np.linspace(0.0, 3.0, 12)]
+    rotations = np.array([quat.rotation_matrix(g.orientation) for g in grasps])
+    outcomes = _grips(grasps[0].position, rotations, plate, GRIPPER)
+    assert outcomes[0].kind == SUCCESS
+    assert plate.shape.calls == 3
+
+
+finite_3 = st.tuples(*[
+    st.one_of(
+        st.just(0.0), st.just(-0.0),
+        st.builds(lambda m, neg: -m if neg else m, st.floats(1e-5, 1e5), st.booleans()),
+    )
+] * 3)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(finite_3, finite_3)
+def test_cross_is_numpy_cross_bit_for_bit(a, b):
+    a, b = np.array(a), np.array(b)
+    assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
 
 
 def test_success_makes_four_sdf_calls():
@@ -602,7 +651,7 @@ def test_culled_position_draws_every_trial_and_calls_no_sdf(monkeypatch):
         expected = search_result(reference_search, box, 1, seed=4)
         assert expected[0] == "3 attempts produced 0/1 demonstrations"
         monkeypatch.setattr(grasping, "_collides", never)
-        monkeypatch.setattr(grasping, "_grip", never)
+        monkeypatch.setattr(grasping, "_grips", never)
         assert search_result(demonstrate_grasps, box, 1, seed=4) == expected
 
 

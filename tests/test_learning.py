@@ -346,6 +346,17 @@ class TestSerialization:
         for column in ("proposals", "proposal_densities", "accepted", "outcomes", "moves"):
             np.testing.assert_array_equal(getattr(clone.chain, column), getattr(model.chain, column))
 
+    def test_mode_with_an_overflowing_quaternion_reads_as_its_direction(self):
+        region = build_jump_region(np.zeros(7), np.eye(7), 0.7)
+        model = LearnedModel("plate", ChainHistory(), [Grasp(np.zeros(3), [1, 0, 0, 0])], [region])
+        model.mode_densities = [0.0]
+        doc = json.loads(model_to_document(model))
+        doc["modes"][0] = [0, 0, 0, 1e200, 1e199, 0, 0]
+        (mode,) = model_from_document(json.dumps(doc)).modes
+        expected = np.array([1.0, 0.1, 0.0, 0.0]) / np.sqrt(1.01)
+        np.testing.assert_allclose(mode.orientation, expected, rtol=1e-15)
+        assert abs(float(mode.orientation @ mode.orientation) - 1.0) < 1e-15
+
     def test_square_root_regions_rejected(self):
         region = build_jump_region(np.zeros(7), np.eye(7), 0.7)
         doc = json.loads(model_to_document(LearnedModel("plate", ChainHistory(), [], [region])))

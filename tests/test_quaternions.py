@@ -57,6 +57,36 @@ def test_canonicalize_is_a_bitwise_fixed_point_on_its_outputs(components):
     assert once[0] > 0.0 or (once[0] == 0.0 and once[np.flatnonzero(once)[0]] > 0.0)
 
 
+def test_canonicalize_of_an_overflowing_quaternion_is_its_direction():
+    assert quat.canonicalize([1e200, 0, 0, 0]).tolist() == [1.0, 0.0, 0.0, 0.0]
+    q = quat.canonicalize([0.0, -1e200, 1e199, 0.0])
+    np.testing.assert_allclose(q, np.array([0.0, 1.0, -0.1, 0.0]) / math.sqrt(1.01), rtol=1e-15)
+
+
+# components up to 1e300, so that q.q often overflows
+_HUGE_COMPONENT = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.builds(lambda e, neg: (-1.0 if neg else 1.0) * 10.0**e, st.floats(150.0, 300.0), st.booleans()),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(_HUGE_COMPONENT, min_size=4, max_size=4))
+def test_canonicalize_of_huge_components_is_a_unit_canonical_fixed_point(components):
+    q = np.array(components)
+    if np.max(np.abs(q)) <= quat.MIN_NORM:
+        return
+    once = quat.canonicalize(q)
+    assert np.all(np.isfinite(once))
+    assert abs(float(once.dot(once)) - 1.0) <= quat.UNIT_SLACK
+    assert once[0] > 0.0 or (once[0] == 0.0 and once[np.flatnonzero(once)[0]] > 0.0)
+    assert quat.canonicalize(once).tobytes() == once.tobytes()
+    direction = q / np.max(np.abs(q))
+    direction /= np.linalg.norm(direction)
+    assert min(np.abs(once - direction).max(), np.abs(once + direction).max()) <= 1e-15
+
+
 def test_canonicalize_keeps_a_canonical_quaternion_and_returns_a_copy():
     q = quat.canonicalize(np.array([0.5, -0.5, 0.5, 0.5]) * (1.0 + 2e-16))
     assert q[0] == 0.5 * (1.0 + 2e-16)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,45 @@ def test_sample_is_orient_of_draw_bit_for_bit(dim, kappa):
         assert np.array_equal(orient_vmf(dist, draw_vmf(kappa, dim, rngs[2])), expected)
     states = [rng.bit_generator.state for rng in rngs]
     assert states[0] == states[1] == states[2]
+
+
+def wood_draw(kappa, dim, rng):
+    """draw_vmf with Wood's b, x0 and c worked out again on every draw."""
+    if kappa == 0.0:
+        while True:
+            raw = rng.standard_normal(dim)
+            norm = math.sqrt(float(raw.dot(raw)))
+            if norm > 1e-12:
+                return raw / norm
+    m = dim - 1
+    b = m / (2.0 * kappa + np.sqrt(4.0 * kappa * kappa + m * m))
+    x0 = (1.0 - b) / (1.0 + b)
+    c = kappa * x0 + m * np.log(1.0 - x0 * x0)
+    while True:
+        z = rng.beta(0.5 * m, 0.5 * m)
+        w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
+        u = rng.uniform()
+        if kappa * w + m * np.log(1.0 - x0 * w) - c >= np.log(u):
+            w = float(w)
+            break
+    while True:
+        tangent = rng.standard_normal(dim - 1)
+        norm = math.sqrt(float(tangent.dot(tangent)))
+        if norm > 1e-12:
+            tangent /= norm
+            break
+    return np.concatenate(([w], np.sqrt(max(0.0, 1.0 - w * w)) * tangent))
+
+
+def test_draw_is_wood_sampler_bit_for_bit():
+    """Draws of every (kappa, p) in turn, so each reads its own constants
+    while the others' are remembered too."""
+    cases = [(kappa, dim) for kappa in (0.0, 0.5, 50.0, 150.0) for dim in (3, 4)]
+    ours, theirs = np.random.default_rng(21), np.random.default_rng(21)
+    for i in range(4000):
+        kappa, dim = cases[i % len(cases)]
+        assert draw_vmf(kappa, dim, ours).tobytes() == wood_draw(kappa, dim, theirs).tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 @pytest.mark.parametrize("kappa, dim", [(-1.0, 4), (np.nan, 4), (np.inf, 4), (1.0, 5)])
