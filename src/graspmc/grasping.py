@@ -487,12 +487,14 @@ def demonstrate_grasps(
 
     An attempt makes every trial's random draws first, in trial order (a
     restart's roll, a perturbation's `draw_vmf`), since none depends on an
-    outcome. It then screens the trials for collision in batches, coarse
-    probes first (see `_climb`), and takes the rest of the cascade only for
-    the trials that do not collide. The grasps, qualities and generator
-    state are those of evaluating each trial in turn with evaluate_grasp.
-    A position outside the workspace makes every trial a Miss and calls no
-    SDF.
+    outcome. A position outside the workspace makes every trial a Miss and
+    calls no SDF. Otherwise the attempt screens its restart frames for
+    collision in one batch and is abandoned when all of them collide: such
+    an attempt rarely succeeds, and making its draws anyway leaves every
+    later attempt the generator stream it would have had. The climb (see
+    `_climb`) then screens and grips its trials in batches. Apart from the
+    abandoned attempts, the grasps, qualities and generator state are those
+    of evaluating each trial in turn with evaluate_grasp.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -523,6 +525,9 @@ def demonstrate_grasps(
             t: _heuristic_orientation(point, normal, obj, draws[t])
             for t in range(0, TRIALS_PER_POINT, RESTART_EVERY)
         }
+        rotations = np.array([quat.rotation_matrix(q) for q in restarts.values()])
+        if _collides(obj, gripper, position, rotations).all():
+            continue
         best_q, best_quality = _climb(obj, gripper, restarts, position, draws)
         if best_quality > 0.0:
             found.append((Grasp(position, best_q), best_quality))

@@ -443,8 +443,8 @@ def test_grips_on_k_rotations_equal_k_single_grips(case, k, seed):
     for outcome in together:
         event(outcome.kind)
     assert [o.kind for o in together] == [o.kind for o in alone]
-    assert np.array(
-        [o.quality for o in together]).tobytes() == np.array([o.quality for o in alone]).tobytes()
+    qualities = [np.array([o.quality for o in outcomes]).tobytes() for outcomes in (together, alone)]
+    assert qualities[0] == qualities[1]
 
 
 def test_grips_make_three_sdf_calls_for_a_batch():
@@ -539,9 +539,10 @@ def test_reach_test_agrees_with_the_full_cascade(case):
 
 def reference_search(obj, gripper, count, rng):
     """demonstrate_grasps as a sequential hill climb: each trial draws its
-    random numbers and is evaluated by evaluate_grasp before the next. The
-    search constants are read from `grasping` on each call, so patching one
-    sets it for both searches."""
+    random numbers and is evaluated by evaluate_grasp before the next. An
+    attempt whose restart trials all collide is dropped after all its
+    trials. The search constants are read from `grasping` on each call, so
+    patching one sets it for both searches."""
     restart_every, kappa = grasping.RESTART_EVERY, grasping.PERTURBATION_KAPPA
     found = []
     attempts = 0
@@ -561,6 +562,7 @@ def reference_search(obj, gripper, count, rng):
         best_q = None
         best_quality = -1.0
         incumbent = None
+        restart_kinds = []
         for trial in range(grasping.TRIALS_PER_POINT):
             if trial % restart_every == 0 or incumbent is None:
                 roll = rng.uniform(-np.pi, np.pi)
@@ -570,9 +572,14 @@ def reference_search(obj, gripper, count, rng):
                     sample_vmf(VonMisesFisher(incumbent, kappa), rng)
                 )
             outcome = evaluate_grasp(Grasp(position, candidate), obj, gripper)
+            if trial % restart_every == 0:
+                restart_kinds.append(outcome.kind)
             if outcome.quality > best_quality:
                 best_quality, best_q = outcome.quality, candidate
                 incumbent = candidate
+        # all draws made, an attempt whose restart frames all collide is abandoned
+        if all(kind == COLLISION for kind in restart_kinds):
+            continue
         if best_q is not None and best_quality > 0.0:
             found.append((Grasp(position, best_q), best_quality))
     return found
@@ -653,6 +660,34 @@ def test_culled_position_draws_every_trial_and_calls_no_sdf(monkeypatch):
         monkeypatch.setattr(grasping, "_collides", never)
         monkeypatch.setattr(grasping, "_grips", never)
         assert search_result(demonstrate_grasps, box, 1, seed=4) == expected
+
+
+def test_colliding_restarts_draw_every_trial_and_grip_nothing(monkeypatch):
+    """On a box far wider than the jaws every position sits a millimetre
+    off a face, and every heuristic frame closes the jaws along the face's
+    normal, so one finger is inside: each attempt makes its draws, screens
+    its restart frames in one call and is abandoned."""
+    side = 10.0 * GRIPPER.jaw_span
+    box = ObjectModel("slab", sdf.Box([side] * 3), -side * np.ones(3), side * np.ones(3))
+    screens = []
+    collides = grasping._collides
+
+    def screen(*args):
+        hit = collides(*args)
+        screens.append(hit)
+        return hit
+
+    def never(*args):
+        raise AssertionError("an abandoned attempt gripped a pose")
+
+    with search_settings(DEMONSTRATION_ATTEMPTS=3):
+        expected = search_result(reference_search, box, 1, seed=4)
+        assert expected[0] == "3 attempts produced 0/1 demonstrations"
+        monkeypatch.setattr(grasping, "_collides", screen)
+        monkeypatch.setattr(grasping, "_grips", never)
+        assert search_result(demonstrate_grasps, box, 1, seed=4) == expected
+    restarts = grasping.TRIALS_PER_POINT // grasping.RESTART_EVERY
+    assert [hit.tolist() for hit in screens] == [[True] * restarts] * 3
 
 
 @pytest.mark.parametrize("bad", [{"count": 0}])
