@@ -102,18 +102,18 @@ def contains_state(region: JumpRegion, x: np.ndarray) -> bool:
     return bool(np.sqrt(w @ w) <= region.epsilon)  # np.linalg.norm(w), bit for bit
 
 
-def containing_count(regions: list[JumpRegion], x: np.ndarray) -> int:
-    return sum(1 for region in regions if contains_state(region, x))
+def cumulative_volumes(regions: list[JumpRegion]) -> np.ndarray:
+    """Running sums of the region volumes, for `select_jump_target`."""
+    return np.cumsum(np.array([r.volume for r in regions], dtype=float))
 
 
-def select_jump_target(regions: list[JumpRegion], rng: np.random.Generator) -> int:
-    """Index i with probability V_i / sum_j V_j (self-selection allowed)."""
-    if not regions:
+def select_jump_target(cumulative: np.ndarray, rng: np.random.Generator) -> int:
+    """Index i with probability V_i / sum_j V_j (self-selection allowed),
+    from the `cumulative_volumes` of the regions."""
+    if not len(cumulative):
         raise NoRegions("no jump regions to select from")
-    volumes = np.array([r.volume for r in regions], dtype=float)
-    cumulative = np.cumsum(volumes)
     u = rng.uniform() * cumulative[-1]
-    return int(np.searchsorted(cumulative, u, side="right").clip(0, len(regions) - 1))
+    return min(int(np.searchsorted(cumulative, u, side="right")), len(cumulative) - 1)
 
 
 def jump_transform(x: np.ndarray, from_region: JumpRegion, to_region: JumpRegion) -> np.ndarray:
@@ -126,12 +126,17 @@ def jump_transform(x: np.ndarray, from_region: JumpRegion, to_region: JumpRegion
 
 
 class DartingStep(NamedTuple):
-    """A jump attempt: no proposal when the state was outside every region."""
+    """A jump attempt: no proposal when the state was outside every region.
+
+    `containing` lists the regions that hold the current state, and
+    `proposal_containing` those that hold the proposal (None without one)."""
 
     jumped: bool
     proposal: np.ndarray | None
     proposal_density: float | None
     proposal_outcome: str | None
+    containing: list[int]
+    proposal_containing: list[int] | None
 
 
 def darting_step(
@@ -143,6 +148,8 @@ def darting_step(
     rng: np.random.Generator,
     *,
     postprocess: Callable[[np.ndarray], np.ndarray] | None = None,
+    containing: list[int] | None = None,
+    cumulative: np.ndarray | None = None,
 ) -> DartingStep:
     """Attempt one jump move; called after the iteration gate has fired.
 
@@ -152,25 +159,37 @@ def darting_step(
     jump is accepted with probability
     min[1, n(x) pi(x') / (n(x') pi(x))] with n(.) the containing-region
     count.
+
+    A caller that already knows the indices of the regions containing the
+    current state, or the regions' `cumulative_volumes`, hands them in; they
+    are computed otherwise. The step hands back both states' region sets,
+    so a chain that moves to the proposal, or stays, never tests its state
+    again.
     """
     current = np.asarray(current, dtype=float)
-    containing = [i for i, r in enumerate(regions) if contains_state(r, current)]
+    if containing is None:
+        containing = [i for i, r in enumerate(regions) if contains_state(r, current)]
     if not containing:
-        return DartingStep(False, None, None, None)
+        return DartingStep(False, None, None, None, containing, None)
 
     from_index = containing[0] if len(containing) == 1 else containing[int(rng.integers(len(containing)))]
-    to_index = select_jump_target(regions, rng)
+    if cumulative is None:
+        cumulative = cumulative_volumes(regions)
+    to_index = select_jump_target(cumulative, rng)
     raw = jump_transform(current, regions[from_index], regions[to_index])
     proposal = postprocess(raw) if postprocess is not None else raw
     value = target(proposal)
     proposal_density = float(value.density)
 
-    n_current = len(containing)
-    n_proposal = containing_count(regions, proposal)
+    proposal_containing = [i for i, r in enumerate(regions) if contains_state(r, proposal)]
+    n_current, n_proposal = len(containing), len(proposal_containing)
     # symmetric in the count-weighted densities; a proposal canonicalised out
     # of every region has no reverse jump
     alpha = (
         0.0 if n_proposal == 0
         else symmetric_acceptance(n_current * proposal_density, n_proposal * current_density)
     )
-    return DartingStep(bool(rng.uniform() < alpha), proposal, proposal_density, value.outcome)
+    return DartingStep(
+        bool(rng.uniform() < alpha), proposal, proposal_density, value.outcome,
+        containing, proposal_containing,
+    )

@@ -19,7 +19,14 @@ price of keeping position/orientation dependence inside one kernel.
 
 This module also holds `_run_chain`, the one MH loop of the package: the
 pure Kameleon chain here, the combined Kameleon/darting chain and the
-random-walk sketch in `learning` are thin calls into it.
+random-walk sketch in `learning` are thin calls into it. The loop does no
+work whose result is unused or already known: a burn-in refresh draws its
+subsample every iteration (so the generator stream never depends on the
+move), but the kernel's median bandwidth is computed only when a Kameleon
+step reads it, not on darting iterations. The set of regions holding the
+current state is carried from one jump attempt to the next while the
+state stays, and the regions' cumulative volumes are summed once per
+chain. Every draw and decision is the one of the eager loop.
 """
 
 from __future__ import annotations
@@ -29,7 +36,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .darting import DartingConfig, JumpRegion, darting_step, symmetric_acceptance
+from .darting import (
+    DartingConfig, JumpRegion, cumulative_volumes, darting_step, symmetric_acceptance,
+)
 from .errors import EmptyHistory
 from .history import MOVE_DTYPE, OUTCOME_CODES, ChainHistory
 from .kernels import GaussianKernel, median_bandwidth
@@ -87,9 +96,10 @@ def kernel_gradient_matrix(
     y = np.asarray(y, dtype=float)
     z_arr = np.asarray(z, dtype=float)
     diffs = z_arr - y[None, :]
-    sq = np.sum(diffs * diffs, axis=1)
-    k_vals = np.exp(-sq / (2.0 * kernel.bandwidth_sigma**2))
-    return (2.0 * diffs * k_vals[:, None] / kernel.bandwidth_sigma**2).T
+    sq = np.add.reduce(diffs * diffs, axis=1)
+    sigma_sq = kernel.bandwidth_sigma**2
+    k_vals = np.exp(-sq / (2.0 * sigma_sq))
+    return (2.0 * diffs * k_vals[:, None] / sigma_sq).T
 
 
 def proposal_covariance(m: np.ndarray, config: KameleonConfig) -> np.ndarray:
@@ -99,10 +109,22 @@ def proposal_covariance(m: np.ndarray, config: KameleonConfig) -> np.ndarray:
     which is what gets computed.
     """
     m = np.asarray(m, dtype=float)
-    d = m.shape[0]
-    centered = m - m.mean(axis=1, keepdims=True)
-    cov = config.gamma**2 * np.eye(d) + config.nu**2 * (centered @ centered.T)
+    d, n = m.shape
+    centered = m - np.add.reduce(m, axis=1, keepdims=True) / n
+    cov = _ridge(config.gamma, d) + config.nu**2 * (centered @ centered.T)
     return 0.5 * (cov + cov.T)
+
+
+_RIDGES: dict[tuple[float, int], np.ndarray] = {}
+
+
+def _ridge(gamma: float, d: int) -> np.ndarray:
+    """gamma^2 I, built once per (gamma, d) and read-only."""
+    ridge = _RIDGES.get((gamma, d))
+    if ridge is None:
+        ridge = _RIDGES[gamma, d] = gamma**2 * np.eye(d)
+        ridge.flags.writeable = False
+    return ridge
 
 
 def adaptation_schedule(iteration: int, config: KameleonConfig) -> bool:
@@ -195,7 +217,9 @@ def _run_chain(
     `history`; then each iteration records exactly one step:
 
     - during a Kameleon chain's burn-in (nu > 0) the adaptation is refreshed
-      first: a new subsample of the history and its median bandwidth;
+      first: a new subsample of the history. Its kernel (the subsample's
+      median bandwidth) is built by the first Kameleon step that reads it,
+      so an iteration whose gate takes a jump attempt builds none;
     - with a darting config the gate u1 is drawn every iteration, even with
       no regions, and u1 >= p_check with regions attempts `darting_step`
       ("jump", or "recount" outside every region); without one no gate is
@@ -204,7 +228,13 @@ def _run_chain(
     - the local step is `walk` ("random-walk") if given, else `kameleon_step`,
       handed the current state's factored covariance from the step before
       when it still holds: a refresh or an accepted jump drops it, and a
-      rejected jump or a recount keeps it.
+      rejected jump or a recount keeps it;
+    - a jump attempt is handed the indices of the regions holding the
+      current state when an earlier attempt tested that state, as its own
+      or as its proposal, and the cumulative region volumes summed once
+      per chain. An accepted jump carries on the proposal's region set, an
+      accepted local step drops it, and a rejection, a recount or a
+      refresh keeps it.
 
     Steps only propose and decide; this loop alone moves the state and
     records each proposal with its decision, in step rows allocated here, so
@@ -224,8 +254,10 @@ def _run_chain(
     seed_rows = h.seed_proposals if h.proposal_sourced else h.seed_states
     pool = np.concatenate([seed_rows.reshape(-1, dim), np.empty((iterations, dim))])
     seeded = len(seed_rows)
-    subsample, kernel = (), None
+    subsample, kernel = (), None  # the kernel is built when a Kameleon step first reads it
     factored = None  # the current state's, under this subsample and kernel
+    containing = None  # the regions holding the current state, once a jump attempt tested it
+    cumulative = cumulative_volumes(regions) if darting is not None and regions else None
     for t in range(iterations):
         if (
             kameleon is not None
@@ -234,11 +266,11 @@ def _run_chain(
             and seeded + t > 0
         ):
             subsample = subsample_history(pool[: seeded + t], kameleon.subsample_size, rng)
-            kernel = GaussianKernel(median_bandwidth(subsample))
-            factored = None
+            kernel = factored = None
         if darting is not None and rng.uniform() >= darting.p_check and regions:
             jump = darting_step(
-                current, density, regions, target, darting, rng, postprocess=postprocess
+                current, density, regions, target, darting, rng,
+                postprocess=postprocess, containing=containing, cumulative=cumulative,
             )
             if jump.proposal is None:
                 move, proposal, p_density, p_outcome = "recount", current, density, outcome
@@ -248,17 +280,23 @@ def _run_chain(
                 )
             accepted = jump.jumped
             if accepted:
-                factored = None
+                factored, containing = None, jump.proposal_containing
+            else:
+                containing = jump.containing
         else:
             if walk is not None:
                 move, step = "random-walk", walk(current, density)
             else:
+                if kernel is None and len(subsample):
+                    kernel = GaussianKernel(median_bandwidth(subsample))
                 move, step = "kameleon", kameleon_step(
                     current, density, target, kameleon, rng,
                     subsample=subsample, kernel=kernel, postprocess=postprocess,
                     current_factored=factored,
                 )
             proposal, p_density, p_outcome, accepted, factored = step
+            if accepted:
+                containing = None
         if p_density < 0.0:
             raise ValueError("densities must be nonnegative")
         if accepted:

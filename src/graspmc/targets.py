@@ -24,11 +24,12 @@ def gaussian_mixture_target(centers: np.ndarray, sigma: float) -> TargetFn:
     """Equal-weight isotropic Gaussian mixture, a standard sampler benchmark."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     inv_two_sigma_sq = 1.0 / (2.0 * sigma * sigma)
+    count = len(centers)
 
     def density(state: np.ndarray) -> TargetValue:
         diffs = centers - np.asarray(state, dtype=float)[None, :]
-        sq = np.sum(diffs * diffs, axis=1)
-        return TargetValue(float(np.mean(np.exp(-sq * inv_two_sigma_sq))), None)
+        sq = np.add.reduce(diffs * diffs, axis=1)
+        return TargetValue(float(np.add.reduce(np.exp(-sq * inv_two_sigma_sq)) / count), None)
 
     return density
 

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from graspmc.darting import (
     DartingConfig,
     build_jump_region,
-    containing_count,
     contains_state,
+    cumulative_volumes,
     darting_step,
     ellipsoid_volume,
     jump_transform,
@@ -99,16 +99,16 @@ class TestMembership:
 class TestSelection:
     def test_single_region(self):
         region = region_at([0.0], np.eye(1))
-        assert select_jump_target([region], np.random.default_rng(0)) == 0
+        assert select_jump_target(cumulative_volumes([region]), np.random.default_rng(0)) == 0
 
     def test_empty_raises(self):
         with pytest.raises(NoRegions):
-            select_jump_target([], np.random.default_rng(0))
+            select_jump_target(cumulative_volumes([]), np.random.default_rng(0))
 
     def test_equal_volumes_split_evenly(self):
-        regions = [region_at([0.0], np.eye(1)), region_at([5.0], np.eye(1))]
+        cumulative = cumulative_volumes([region_at([0.0], np.eye(1)), region_at([5.0], np.eye(1))])
         rng = np.random.default_rng(11)
-        picks = np.array([select_jump_target(regions, rng) for _ in range(100_000)])
+        picks = np.array([select_jump_target(cumulative, rng) for _ in range(100_000)])
         assert np.mean(picks == 0) == pytest.approx(0.5, abs=0.01)
 
     def test_volume_weighted(self):
@@ -116,8 +116,9 @@ class TestSelection:
             region_at([0.0], np.diag([3.0])),
             region_at([5.0], np.diag([1.0])),
         ]
+        cumulative = cumulative_volumes(regions)
         rng = np.random.default_rng(13)
-        picks = np.array([select_jump_target(regions, rng) for _ in range(100_000)])
+        picks = np.array([select_jump_target(cumulative, rng) for _ in range(100_000)])
         assert np.mean(picks == 0) == pytest.approx(0.75, abs=0.01)
 
 
@@ -195,12 +196,31 @@ class TestDartingStep:
             assert density > 0.0
 
     def test_containing_count_matches_direct_recount(self):
+        # the region sets a step hands back are the regions that contain
+        # each state, and a set handed in replaces the step's own test
         rng = np.random.default_rng(9)
         regions = [region_at(rng.standard_normal(3), np.eye(3), eps=1.5) for _ in range(4)]
-        for _ in range(100):
+        config = DartingConfig(p_check=0.6, epsilon=1.5)
+        target = gaussian_mixture_target(np.array([r.center for r in regions]), sigma=1.0)
+        for seed in range(100):
             x = rng.standard_normal(3) * 2
-            direct = sum(contains_state(r, x) for r in regions)
-            assert containing_count(regions, x) == direct
+            direct = [i for i, r in enumerate(regions) if contains_state(r, x)]
+            step = darting_step(x, target(x).density, regions, target, config, np.random.default_rng(seed))
+            assert step.containing == direct
+            if step.proposal is None:
+                assert not direct and step.proposal_containing is None
+            else:
+                assert step.proposal_containing == [
+                    i for i, r in enumerate(regions) if contains_state(r, step.proposal)
+                ]
+            handed = darting_step(
+                x, target(x).density, regions, target, config, np.random.default_rng(seed),
+                containing=direct, cumulative=cumulative_volumes(regions),
+            )
+            assert handed.jumped == step.jumped and handed.containing == direct
+            assert (handed.proposal is None) == (step.proposal is None)
+            if step.proposal is not None:
+                assert handed.proposal.tobytes() == step.proposal.tobytes()
 
 
 class TestMembershipNorm:
@@ -285,7 +305,11 @@ class TestJumpAcceptance:
             DartingConfig(0.6, GRASP_EPSILON), rng, postprocess=canonicalize_grasp_vector,
         )
         assert not step.jumped
-        counts = containing_count(regions, current), containing_count(regions, step.proposal)
+        counts = (
+            sum(contains_state(r, current) for r in regions),
+            sum(contains_state(r, step.proposal) for r in regions),
+        )
+        assert counts == (len(step.containing), len(step.proposal_containing))
         return rng.alpha, four_branch_alpha(*counts, proposal_density, current_density), counts
 
     @settings(max_examples=300, deadline=None)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graspmc.darting import DartingConfig, build_jump_region
+from graspmc.darting import DartingConfig, build_jump_region, contains_state, jump_transform
 from graspmc.errors import DecompositionFailure, EmptyHistory
 from graspmc import kameleon, linalg
 from graspmc.grasping import canonicalize_grasp_vector
-from graspmc.history import OUTCOME_LABELS, ChainHistory, rows
+from graspmc.history import MOVE_DTYPE, OUTCOME_CODES, OUTCOME_LABELS, ChainHistory, rows
 from graspmc.kameleon import (
     KameleonConfig,
     LocalStep,
@@ -21,7 +21,7 @@ from graspmc.kameleon import (
     subsample_history,
     symmetric_acceptance,
 )
-from graspmc.kernels import GaussianKernel
+from graspmc.kernels import GaussianKernel, median_bandwidth
 from graspmc.learning import run_combined_chain, tally_outcomes
 from graspmc.targets import TargetValue, gaussian_mixture_target, standard_normal_target
 
@@ -129,6 +129,33 @@ class TestProposalCovariance:
         eigenvalues = np.linalg.eigvalsh(cov)
         assert np.min(eigenvalues) >= gamma**2 - 1e-12
         assert np.min(eigenvalues) >= gamma**2 * (1 - 1e-9)
+
+
+class TestCovarianceArithmetic:
+    """The kernel gradients and the proposal covariance are the np.mean,
+    per-use sigma^2 and fresh gamma^2 I forms, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(1, 8),
+        n=st.integers(1, 12),
+        bandwidth=st.floats(1e-3, 10.0),
+        gamma=st.floats(1e-3, 2.0),
+        nu=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_reference_forms(self, d, n, bandwidth, gamma, nu, seed):
+        rng = np.random.default_rng(seed)
+        z, y = rng.standard_normal((n, d)), rng.standard_normal(d)
+        kernel, cfg = GaussianKernel(bandwidth), KameleonConfig(gamma=gamma, nu=nu, subsample_size=n)
+        diffs = z - y[None, :]
+        k_vals = np.exp(-np.sum(diffs * diffs, axis=1) / (2.0 * bandwidth**2))
+        m = (2.0 * diffs * k_vals[:, None] / bandwidth**2).T
+        centered = m - m.mean(axis=1, keepdims=True)
+        cov = gamma**2 * np.eye(d) + nu**2 * (centered @ centered.T)
+        assert kernel_gradient_matrix(z, y, kernel).tobytes() == m.tobytes()
+        assert proposal_covariance(m, cfg).tobytes() == (0.5 * (cov + cov.T)).tobytes()
+        assert kameleon.covariance_at(y, z, kernel, cfg).tobytes() == (0.5 * (cov + cov.T)).tobytes()
 
 
 class TestAdaptationSchedule:
@@ -510,3 +537,251 @@ class TestNonPositiveDefiniteCovariance:
         assert proposals[1].tobytes() == self.expected_draw(seed=1).tobytes()
         with pytest.raises(DecompositionFailure):
             self.step(monkeypatch, 0.5, proposals, seed=1, current_factored=step.factored)
+
+
+def reference_darting_step(current, current_density, regions, target, config, rng, *, postprocess=None):
+    """Reference: the jump attempt that tests the current state against
+    every region and sums the region volumes on every call."""
+    current = np.asarray(current, dtype=float)
+    containing = [i for i, r in enumerate(regions) if contains_state(r, current)]
+    if not containing:
+        return None
+    from_index = containing[0] if len(containing) == 1 else containing[int(rng.integers(len(containing)))]
+    cumulative = np.cumsum(np.array([r.volume for r in regions], dtype=float))
+    u = rng.uniform() * cumulative[-1]
+    to_index = int(np.searchsorted(cumulative, u, side="right").clip(0, len(regions) - 1))
+    raw = jump_transform(current, regions[from_index], regions[to_index])
+    proposal = postprocess(raw) if postprocess is not None else raw
+    value = target(proposal)
+    proposal_density = float(value.density)
+    n_proposal = sum(1 for r in regions if contains_state(r, proposal))
+    alpha = (
+        0.0 if n_proposal == 0
+        else symmetric_acceptance(len(containing) * proposal_density, n_proposal * current_density)
+    )
+    return bool(rng.uniform() < alpha), proposal, proposal_density, value.outcome
+
+
+def reference_run_chain(
+    target, current, iterations, history, rng, *,
+    kameleon_config, darting=None, regions=(), postprocess=None,
+):
+    """Reference: the MH loop that builds the burn-in kernel on every
+    refresh and carries no region set."""
+    current = np.asarray(current, dtype=float)
+    value = target(current)
+    density, outcome = float(value.density), value.outcome
+    history.seed_state(current, density)
+    h, dim = history, current.size
+    h.states, h.proposals = np.empty((iterations, dim)), np.empty((iterations, dim))
+    h.densities, h.proposal_densities = np.empty(iterations), np.empty(iterations)
+    h.accepted, h.outcomes = np.zeros(iterations, bool), np.full(iterations, -1, np.int8)
+    h.moves = np.empty(iterations, MOVE_DTYPE)
+    seed_rows = h.seed_proposals if h.proposal_sourced else h.seed_states
+    pool = np.concatenate([seed_rows.reshape(-1, dim), np.empty((iterations, dim))])
+    seeded = len(seed_rows)
+    subsample, kernel, factored = (), None, None
+    for t in range(iterations):
+        if kameleon_config.nu > 0.0 and t < kameleon_config.burn_in and seeded + t > 0:
+            subsample = kameleon.subsample_history(pool[: seeded + t], kameleon_config.subsample_size, rng)
+            kernel = GaussianKernel(median_bandwidth(subsample))
+            factored = None
+        if darting is not None and rng.uniform() >= darting.p_check and regions:
+            jump = reference_darting_step(
+                current, density, regions, target, darting, rng, postprocess=postprocess
+            )
+            if jump is None:
+                move, proposal, p_density, p_outcome, accepted = (
+                    "recount", current, density, outcome, False
+                )
+            else:
+                move = "jump"
+                accepted, proposal, p_density, p_outcome = jump
+            if accepted:
+                factored = None
+        else:
+            move, step = "kameleon", kameleon_step(
+                current, density, target, kameleon_config, rng,
+                subsample=subsample, kernel=kernel, postprocess=postprocess,
+                current_factored=factored,
+            )
+            proposal, p_density, p_outcome, accepted, factored = step
+        if accepted:
+            current, density, outcome = proposal, p_density, p_outcome
+        h.states[t], h.densities[t], h.proposals[t], h.proposal_densities[t] = (
+            current, density, proposal, p_density
+        )
+        h.accepted[t], h.outcomes[t], h.moves[t] = accepted, OUTCOME_CODES[p_outcome], move
+        pool[seeded + t] = proposal if h.proposal_sourced else current
+    return history
+
+
+def mixture_problem(seed, dim=7, modes=3, sigma=0.1, overlap=False):
+    """A mixture whose modes sit 40 sigma apart on orthogonal axes, with one
+    shared region shape; with `overlap` the first two modes' regions overlap."""
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    centers = rng.uniform(-1.0, 1.0, dim) + 40 * sigma / np.sqrt(2.0) * rotation[:, :modes].T
+    if overlap:
+        centers[1] = centers[0] + 0.3 * rotation[:, 0]
+    rotation, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    covariance = rotation @ np.diag(np.linspace(0.5, 1.0, dim)) @ rotation.T
+    regions = [build_jump_region(c, 0.5 * (covariance + covariance.T), 0.7) for c in centers]
+    return gaussian_mixture_target(centers, sigma), centers, regions
+
+
+def _run_chain_via_module(
+    target, current, iterations, history, rng, *,
+    kameleon_config, darting=None, regions=(), postprocess=None,
+):
+    current = np.asarray(current, dtype=float)
+    return kameleon._run_chain(
+        target, current, target(current), iterations, history, rng,
+        kameleon=kameleon_config, darting=darting, regions=regions, postprocess=postprocess,
+    )
+
+
+class TestLoopEquivalence:
+    """The lazy kernel, the carried region set and the once-per-chain
+    volumes change no draw, density, decision or generator state."""
+
+    @staticmethod
+    def both(target, start, seeds, iterations, kameleon_config, darting, regions, seed, **kwargs):
+        chains = []
+        for run in (_run_chain_via_module, reference_run_chain):
+            history = ChainHistory()
+            for state in seeds:
+                history.seed_state(state, target(state).density)
+            rng = np.random.default_rng(seed)
+            history = run(
+                target, start, iterations, history, rng, kameleon_config=kameleon_config,
+                darting=darting, regions=regions, **kwargs,
+            )
+            chains.append((history, rng.bit_generator.state))
+        assert_same_chain(*chains)
+        return chains[0][0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_three_mode_mixture(self, seed):
+        target, centers, regions = mixture_problem(seed)
+        cfg = KameleonConfig(gamma=0.05, nu=2.38 / np.sqrt(7), subsample_size=100, burn_in=100)
+        h = self.both(
+            target, centers[seed % 3], centers, 600, cfg, DartingConfig(0.6, 0.7), regions, seed
+        )
+        for move in ("kameleon", "jump"):
+            assert np.any((h.moves == move) & h.accepted)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pure_kameleon_chain(self, seed):
+        target, centers, _ = mixture_problem(seed)
+        cfg = KameleonConfig(gamma=0.05, nu=1.0, subsample_size=30, burn_in=100)
+        self.both(target, centers[0], (), 300, cfg, None, (), seed)
+
+    def test_overlapping_regions_draw_the_source(self):
+        target, centers, regions = mixture_problem(7, overlap=True)
+        cfg = KameleonConfig(gamma=0.05, nu=2.38 / np.sqrt(7), subsample_size=50, burn_in=100)
+        h = self.both(target, centers[0], centers, 600, cfg, DartingConfig(0.6, 0.7), regions, 7)
+        before = np.concatenate([h.seed_states[-1:], h.states[:-1]])
+        doubly = [
+            t for t in np.flatnonzero(h.moves == "jump")
+            if sum(contains_state(r, before[t]) for r in regions) == 2
+        ]
+        assert len(doubly) > 20  # n(x) = 2: the source region is drawn
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_grasp_vectors_canonicalised_out_of_every_region(self, seed):
+        # a plateau around modes next to the w = 0 boundary: a reflected jump
+        # there can canonicalise to the far side of the double cover
+        centers = np.array([
+            [0.0, 0.0, 0.0, 0.002, 1.0, 0.0, 0.0],
+            [0.04, 0.0, 0.0, 0.002, 1.0, 0.0, 0.0],
+            [0.3, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+        ])
+
+        def plateau(state):
+            return TargetValue(float(np.min(np.linalg.norm(centers - state, axis=1)) < 0.05), None)
+
+        regions = [build_jump_region(c, 0.01 * np.eye(7), 5.0) for c in centers]
+        cfg = KameleonConfig(gamma=0.01, nu=0.003, subsample_size=20, burn_in=100)
+        h = self.both(
+            plateau, centers[seed % 3], centers, 600, cfg, DartingConfig(0.6, 5.0), regions, seed,
+            postprocess=canonicalize_grasp_vector,
+        )
+        jumps = h.proposals[h.moves == "jump"]
+        outside = [x for x in jumps if not any(contains_state(r, x) for r in regions)]
+        assert outside and len(outside) < len(jumps)
+        assert np.any((h.moves == "kameleon") & h.accepted)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_nu_zero(self, seed):
+        target, centers, regions = mixture_problem(seed)
+        cfg = KameleonConfig(gamma=0.05, nu=0.0, subsample_size=100, burn_in=100)
+        self.both(target, centers[0], centers, 600, cfg, DartingConfig(0.6, 0.7), regions, seed)
+
+
+class TestLazyKernel:
+    """The burn-in kernel is built only for a Kameleon step that reads it;
+    the subsample is still drawn on every burn-in iteration."""
+
+    def spy(self, monkeypatch):
+        events = []
+        for name, label in (
+            ("subsample_history", "refresh"), ("median_bandwidth", "bandwidth"),
+            ("kameleon_step", "step"),
+        ):
+            def recorded(*args, _fn=getattr(kameleon, name), _label=label, **kwargs):
+                events.append(_label)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(kameleon, name, recorded)
+        return events
+
+    def test_combined_chain_builds_once_per_local_burn_in_step(self, monkeypatch):
+        events = self.spy(monkeypatch)
+        target, centers, regions = mixture_problem(0)
+        burn_in = 120
+        cfg = KameleonConfig(gamma=0.05, nu=2.38 / np.sqrt(7), subsample_size=100, burn_in=burn_in)
+        history = ChainHistory()
+        for center in centers:
+            history.seed_state(center, target(center).density)
+        h = run_combined_chain(
+            target, centers[0], 300, cfg, DartingConfig(0.6, 0.7), regions, history,
+            np.random.default_rng(0),
+        )
+        expected, stale = [], False
+        for t, move in enumerate(h.moves):
+            if t < burn_in:
+                expected.append("refresh")
+                stale = True
+            if move == "kameleon":
+                expected += ["bandwidth", "step"] if stale else ["step"]
+                stale = False
+        assert events == expected
+        local = int(np.sum(h.moves[:burn_in] == "kameleon"))
+        assert events.count("refresh") == burn_in
+        assert 0 < local < burn_in and events.count("bandwidth") in (local, local + 1)
+
+    def test_pure_chain_builds_once_per_burn_in_step(self, monkeypatch):
+        events = self.spy(monkeypatch)
+        cfg = KameleonConfig(gamma=0.3, nu=1.0, subsample_size=20, burn_in=50)
+        run_kameleon_chain(standard_normal_target(3), np.zeros(3), 200, cfg, np.random.default_rng(1))
+        assert events == ["refresh", "bandwidth", "step"] * 50 + ["step"] * 150
+
+    def test_nan_in_the_subsample_raises_at_the_kameleon_step(self, monkeypatch):
+        events = self.spy(monkeypatch)
+        target, centers, regions = mixture_problem(0)
+        cfg = KameleonConfig(gamma=0.05, nu=1.0, subsample_size=100, burn_in=50)
+        for seed in range(20):
+            events.clear()
+            history = ChainHistory()
+            history.seed_state(np.full(7, np.nan), 0.0)
+            with pytest.raises(ValueError, match="bandwidth"):
+                run_combined_chain(
+                    target, centers[0], 50, cfg, DartingConfig(0.6, 0.7), regions, history,
+                    np.random.default_rng(seed),
+                )
+            # the raise comes at the first iteration whose gate takes the local step
+            assert events[-2:] == ["refresh", "bandwidth"] and "step" not in events
+            if len(events) > 2:
+                return
+        pytest.fail("no seed made a jump attempt before its first Kameleon step")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graspmc import linalg
 from graspmc.errors import DecompositionFailure, GraspMCError, NonSymmetricCovariance
@@ -146,3 +148,85 @@ class TestFactoredCovariance:
     def test_rejects_asymmetric(self):
         with pytest.raises(NonSymmetricCovariance):
             linalg.factor_covariance(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def reference_require_symmetric(a):
+    """The symmetry check as it was before its exact-symmetry shortcut."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NonSymmetricCovariance(f"expected a square matrix, got shape {a.shape}")
+    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
+    gap = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+    tol = linalg.SYMMETRY_TOLERANCE * scale
+    if gap > tol:
+        raise NonSymmetricCovariance(f"asymmetry {gap:g} exceeds tolerance {tol:g}")
+    return a
+
+
+def verdict(check, a):
+    try:
+        return "returned", check(a).tobytes()
+    except NonSymmetricCovariance as error:
+        return "raised", str(error)
+
+
+ENTRIES = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, 1e308])
+
+
+@st.composite
+def near_symmetric(draw):
+    """Square matrices: exactly symmetric, or one entry moved by a gap drawn
+    around the tolerance, with NaN and inf entries among the values."""
+    n = draw(st.integers(0, 6))
+    a = np.array(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n)), dtype=float).reshape(n, n)
+    a = np.triu(a) + np.triu(a, 1).T
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        with np.errstate(invalid="ignore"):
+            scale = max(1.0, float(np.max(np.abs(a))))
+        factor = draw(st.sampled_from([0.0, 0.5, 0.999999, 1.0, 1.000001, 2.0, 1e6]))
+        a[i, j] += factor * linalg.SYMMETRY_TOLERANCE * scale
+    return a
+
+
+class TestRequireSymmetric:
+    @settings(max_examples=1000, deadline=None)
+    @given(a=near_symmetric())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_square_verdicts_match_the_reference(self, a):
+        assert verdict(linalg.require_symmetric, a) == verdict(reference_require_symmetric, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.lists(st.integers(0, 4), min_size=0, max_size=3),
+        fill=ENTRIES,
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_other_shapes_match_the_reference(self, shape, fill):
+        a = np.full(shape, fill)
+        assert verdict(linalg.require_symmetric, a) == verdict(reference_require_symmetric, a)
+
+    def test_gap_cases_occur(self):
+        below = np.array([[1.0, 0.5], [0.5 + 0.5e-10, 1.0]])
+        above = np.array([[1.0, 0.5], [0.5 + 2e-10, 1.0]])
+        assert linalg.require_symmetric(below) is not None
+        with pytest.raises(NonSymmetricCovariance):
+            linalg.require_symmetric(above)
+        assert linalg.require_symmetric(np.array([[np.inf, 1.0], [1.0, 0.0]])) is not None
+        with pytest.raises(NonSymmetricCovariance):
+            linalg.require_symmetric(np.ones((2, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_factored_logpdf_is_the_log_two_pi_form(d, seed):
+    rng = np.random.default_rng(seed)
+    cov = random_psd(rng, d) + rng.uniform(1e-3, 1.0) * np.eye(d)
+    x, mean = rng.standard_normal(d) * 3, rng.standard_normal(d)
+    factor = np.linalg.cholesky(cov)
+    log_det = 2.0 * float(np.sum(np.log(np.diag(factor))))
+    y = np.linalg.solve(factor, x - mean)
+    expected = -0.5 * (d * np.log(2.0 * np.pi) + log_det + float(y @ y))
+    factored = linalg.factor_covariance(cov)
+    assert factored.log_det == log_det
+    assert np.float64(linalg.factored_logpdf(x, mean, factored)).tobytes() == np.float64(expected).tobytes()
