@@ -7,8 +7,12 @@ on the conditioning point, the proposal is not symmetric and the MH ratio
 carries both q directions, each with the covariance at its own
 conditioning point. Each state's covariance is built and factored once:
 a step hands the factor of the state the chain holds next to the one
-after it, so once the adaptation is frozen a rejected step builds one
-covariance (at the proposal) and an accepted one reuses it.
+after it. A step first draws its uniform and rejects early, without
+building the proposal's covariance, when the ridge alone (C_y >= gamma^2 I)
+proves the rejection; that is exact in floating point (see
+`kameleon_step`). So once the adaptation is frozen, a step the ridge
+rejects builds no covariance, any other step builds one (at the proposal),
+and an accepted one hands it on.
 
 States may carry a quaternion block (7D grasp vectors): a postprocess hook
 renormalizes and canonicalizes it after each raw draw, and the proposal
@@ -31,6 +35,8 @@ chain. Every draw and decision is the one of the eager loop.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -42,7 +48,7 @@ from .darting import (
 from .errors import EmptyHistory
 from .history import MOVE_DTYPE, OUTCOME_CODES, ChainHistory
 from .kernels import GaussianKernel, median_bandwidth
-from .linalg import Factored, draw_gaussian, factor_covariance, factored_logpdf
+from .linalg import LOG_2PI, Factored, draw_gaussian, factor_covariance, factored_logpdf
 from .targets import TargetFn, TargetValue
 
 
@@ -139,6 +145,20 @@ def covariance_at(
     return proposal_covariance(m, config)
 
 
+def _backward_bound(config: KameleonConfig, d: int, n: int, sigma: float) -> float | None:
+    """The early-rejection bound on the computed log q(x | y), with its
+    margin: -d/2 (log 2 pi + log gamma^2) + d/10. None when eta, the
+    rounding bound on C_y's eigenvalues, exceeds gamma^2 / 10 (or gamma^2
+    is subnormal); `kameleon_step` derives both."""
+    gamma_sq, spread = config.gamma**2, config.nu / sigma
+    eta = (n + (d + 1) ** 2 + 8) * sys.float_info.epsilon * (
+        d * gamma_sq + 4.0 * n / math.e * spread * spread
+    )
+    if not (eta <= 0.1 * gamma_sq and gamma_sq >= sys.float_info.min):
+        return None
+    return -0.5 * d * (LOG_2PI + math.log(gamma_sq)) + 0.1 * d
+
+
 def kameleon_step(
     current: np.ndarray,
     current_density: float,
@@ -164,6 +184,44 @@ def kameleon_step(
     random-walk Metropolis with proposal N(x, gamma^2 I): same draws from
     the generator, symmetric q-ratio of one. Zero densities follow
     `symmetric_acceptance`.
+
+    Early rejection (Solonen et al., Bayesian Analysis 2012). While the
+    screen runs, the uniform u is drawn right after log q(y | x), else
+    last; no work between the target call and u draws, so the stream is
+    unchanged, and while the screen runs nothing after u can raise (see
+    the guard below). The step rejects without building C_y, the
+    covariance at the proposal y, when
+
+        log u >= log p(y) - log p(x) + B + d/10 - log q(y | x),
+
+    B = -d/2 (log 2 pi + log gamma^2), in the order the full ratio sums.
+    That is the full path's decision, bit for bit (n is the subsample
+    size, sigma the bandwidth, eps the float64 machine epsilon):
+    - In exact arithmetic C_y = gamma^2 I + nu^2 Mc Mc^T >= gamma^2 I, so
+      log q(x | y) <= B. Each column 2 (z - y) k / sigma^2 of M has norm at
+      most 2 / (sigma sqrt(e)) (r exp(-r^2 / 2 sigma^2) peaks at r = sigma),
+      and centering does not grow M, so trace(C_y) is at most
+      T = d gamma^2 + 4 n nu^2 / (e sigma^2).
+    - Built and factored, C_y moves by less than
+      eta = (n + (d + 1)^2 + 8) eps T in the 2-norm: the Gram product by
+      n eps/2 T, the scaling, ridge and symmetrization by 3 eps/2 T,
+      Cholesky's backward error by (d + 1) eps/2 T (Higham, Theorem
+      10.3), with the rounding of M and its centering a factor
+      1 + O(n eps) on T.
+    - The screen runs only while eta <= gamma^2 / 10 (`_backward_bound`):
+      a bandwidth at BANDWIDTH_FLOOR or a huge nu turns it off. Then the
+      built C_y has eigenvalues above 0.9 gamma^2, more than the
+      d (d + 1) eps/2 T that Cholesky needs to succeed (Higham, Theorem 10.7),
+      so an early exit hides no DecompositionFailure; and the factored
+      L L^T has every eigenvalue above 0.9 gamma^2, so the computed
+      log q(x | y) is at most B - d/2 log 0.9 < B + 0.053 d.
+    - The margin d/10 leaves 0.047 d nats for the rounding of the log-det,
+      the sums, exp and log. When the screen fires, log u lies in [-37, 0]
+      (u >= 2^-53), so log q(y | x) and every other term is below 2000 + 710 d
+      in magnitude and each rounds by far less. Rounding is monotone, so the
+      full path's log ratio is then below log u - 0.04 d, and u >= its alpha.
+    u == 0.0 and a NaN term fall through to the full path. A non-finite
+    subsample row makes every covariance NaN, so log q(y | x) raises first.
     """
     current = np.asarray(current, dtype=float)
     adaptive = len(subsample) > 0 and config.nu > 0.0
@@ -180,19 +238,24 @@ def kameleon_step(
     value = target(proposal)
     proposal_density = float(value.density)
 
-    proposal_factored = None
+    u = None  # drawn early only while the screen runs
     if adaptive and proposal_density > 0.0 and current_density > 0.0:
         log_q_forward = factored_logpdf(proposal, current, current_factored)
+        log_target_ratio = np.log(proposal_density) - np.log(current_density)
+        bound = _backward_bound(config, current.size, len(subsample), kernel.bandwidth_sigma)
+        if bound is not None:
+            u = rng.uniform()
+            if u > 0.0 and math.log(u) >= log_target_ratio + bound - log_q_forward:
+                return LocalStep(proposal, proposal_density, value.outcome, False, current_factored)
         proposal_factored = factor_covariance(covariance_at(proposal, subsample, kernel, config))
         log_q_backward = factored_logpdf(current, proposal, proposal_factored)
-        log_ratio = (
-            np.log(proposal_density) - np.log(current_density) + log_q_backward - log_q_forward
-        )
+        log_ratio = log_target_ratio + log_q_backward - log_q_forward
         alpha = 1.0 if log_ratio >= 0.0 else float(np.exp(log_ratio))
     else:
+        proposal_factored = None
         alpha = symmetric_acceptance(proposal_density, current_density)
 
-    accepted = bool(rng.uniform() < alpha)
+    accepted = bool((rng.uniform() if u is None else u) < alpha)
     factored = proposal_factored if accepted else current_factored
     return LocalStep(proposal, proposal_density, value.outcome, accepted, factored)
 

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graspmc.darting import DartingConfig, build_jump_region, contains_state, jump_transform
-from graspmc.errors import DecompositionFailure, EmptyHistory
+from graspmc.errors import DecompositionFailure, EmptyHistory, ZeroQuaternion
 from graspmc import kameleon, linalg
 from graspmc.grasping import canonicalize_grasp_vector
 from graspmc.history import MOVE_DTYPE, OUTCOME_CODES, OUTCOME_LABELS, ChainHistory, rows
@@ -21,7 +22,7 @@ from graspmc.kameleon import (
     subsample_history,
     symmetric_acceptance,
 )
-from graspmc.kernels import GaussianKernel, median_bandwidth
+from graspmc.kernels import BANDWIDTH_FLOOR, GaussianKernel, median_bandwidth
 from graspmc.learning import run_combined_chain, tally_outcomes
 from graspmc.targets import TargetValue, gaussian_mixture_target, standard_normal_target
 
@@ -384,6 +385,49 @@ def uncarried_kameleon_step(
     return LocalStep(proposal, proposal_density, value.outcome, bool(rng.uniform() < alpha))
 
 
+def unscreened_kameleon_step(
+    current, current_density, target, config, rng, *,
+    subsample=(), kernel=None, postprocess=None, current_factored=None,
+):
+    """Reference: the Kameleon step with the carried factor and no early
+    rejection; it builds the proposal's covariance whenever both densities
+    are positive and draws the uniform last."""
+    current = np.asarray(current, dtype=float)
+    adaptive = len(subsample) > 0 and config.nu > 0.0
+
+    if adaptive:
+        if current_factored is None:
+            current_factored = linalg.factor_covariance(
+                kameleon.covariance_at(current, subsample, kernel, config)
+            )
+        raw = linalg.draw_gaussian(current, current_factored, rng)
+    else:
+        current_factored = None
+        raw = current + config.gamma * rng.standard_normal(current.size)
+
+    proposal = postprocess(raw) if postprocess is not None else raw
+    value = target(proposal)
+    proposal_density = float(value.density)
+
+    proposal_factored = None
+    if adaptive and proposal_density > 0.0 and current_density > 0.0:
+        log_q_forward = linalg.factored_logpdf(proposal, current, current_factored)
+        proposal_factored = linalg.factor_covariance(
+            kameleon.covariance_at(proposal, subsample, kernel, config)
+        )
+        log_q_backward = linalg.factored_logpdf(current, proposal, proposal_factored)
+        log_ratio = (
+            np.log(proposal_density) - np.log(current_density) + log_q_backward - log_q_forward
+        )
+        alpha = 1.0 if log_ratio >= 0.0 else float(np.exp(log_ratio))
+    else:
+        alpha = symmetric_acceptance(proposal_density, current_density)
+
+    accepted = bool(rng.uniform() < alpha)
+    factored = proposal_factored if accepted else current_factored
+    return LocalStep(proposal, proposal_density, value.outcome, accepted, factored)
+
+
 GRASP_MODES = np.array([
     canonicalize_grasp_vector(np.array([0.0, 0.0, 0.0, 1.0, 0.2, -0.1, 0.3])),
     canonicalize_grasp_vector(np.array([0.4, -0.3, 0.2, 0.3, 1.0, 0.4, -0.2])),
@@ -468,33 +512,43 @@ class TestCarriedFactor:
             assert np.any((moves == move) & accepted) and np.any((moves == move) & ~accepted)
         assert np.any(moves == "recount")
 
-    def test_frozen_chain_builds_one_covariance_per_step(self, monkeypatch):
-        builds, per_step = [0], []
-        covariance_at, step = kameleon.covariance_at, kameleon.kameleon_step
+    def test_frozen_chain_builds_a_covariance_unless_the_ridge_rejects(self, monkeypatch):
+        # on a standard normal both densities are always positive, so every
+        # step solves log q(y | x); one that solves nothing more was
+        # rejected early by the ridge bound and built no covariance at y
+        calls, per_step = {"builds": 0, "solves": 0}, []
+        covariance_at, logpdf, step = (
+            kameleon.covariance_at, kameleon.factored_logpdf, kameleon.kameleon_step
+        )
 
-        def counted_covariance(*args, **kwargs):
-            builds[0] += 1
-            return covariance_at(*args, **kwargs)
+        def counted(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
 
         def counted_step(*args, **kwargs):
-            before = builds[0]
+            before = dict(calls)
             result = step(*args, **kwargs)
-            per_step.append((builds[0] - before, result.accepted))
+            builds, solves = (calls[key] - before[key] for key in ("builds", "solves"))
+            per_step.append((builds, solves == 1, result.accepted))
             return result
 
-        monkeypatch.setattr(kameleon, "covariance_at", counted_covariance)
+        monkeypatch.setattr(kameleon, "covariance_at", counted("builds", covariance_at))
+        monkeypatch.setattr(kameleon, "factored_logpdf", counted("solves", logpdf))
         monkeypatch.setattr(kameleon, "kameleon_step", counted_step)
-        cfg = KameleonConfig(gamma=0.3, nu=1.0, subsample_size=20, burn_in=10)
+        cfg = KameleonConfig(gamma=1.0, nu=1.0, subsample_size=20, burn_in=10)
         run_kameleon_chain(standard_normal_target(3), np.zeros(3), 300, cfg, np.random.default_rng(4))
-        counts = [count for count, _ in per_step]
-        assert counts[:10] == [2] * 10  # each burn-in step refreshes the adaptation
-        after = per_step[10:]
-        rejected_twice = [
-            count for (count, ok), (_, ok_before) in zip(after[1:], after) if not ok and not ok_before
+        assert not any(accepted for _, screened, accepted in per_step if screened)
+        # each burn-in step refreshes the adaptation, so it builds at x too
+        assert [builds for builds, _, _ in per_step[:10]] == [
+            1 if screened else 2 for _, screened, _ in per_step[:10]
         ]
-        assert len(rejected_twice) > 20
-        assert rejected_twice == [1] * len(rejected_twice)
-        assert [count for count, _ in after] == [1] * len(after)
+        after = per_step[10:]
+        assert [builds for builds, _, _ in after] == [0 if screened else 1 for _, screened, _ in after]
+        screened = sum(screened for _, screened, _ in after)
+        assert 20 < screened < len(after) - 20
 
 
 class TestNonPositiveDefiniteCovariance:
@@ -539,6 +593,157 @@ class TestNonPositiveDefiniteCovariance:
             self.step(monkeypatch, 0.5, proposals, seed=1, current_factored=step.factored)
 
 
+class FixedUniform:
+    """A generator whose normal draws are `rng`'s and whose uniform is `u`."""
+
+    def __init__(self, rng, u):
+        self.rng, self.u = rng, u
+
+    def standard_normal(self, size):
+        return self.rng.standard_normal(size)
+
+    def uniform(self):
+        return self.u
+
+
+def assert_same_step(screened, reference):
+    (step, state), (expected, expected_state) = screened, reference
+    assert state == expected_state
+    if isinstance(expected, type):  # both raised
+        assert step is expected
+        return
+    assert step.proposal.tobytes() == expected.proposal.tobytes()
+    assert np.float64(step.proposal_density).tobytes() == np.float64(expected.proposal_density).tobytes()
+    assert (step.outcome, step.accepted) == (expected.outcome, expected.accepted)
+    if expected.factored is None:
+        assert step.factored is None
+    else:
+        assert step.factored.factor.tobytes() == expected.factored.factor.tobytes()
+        assert step.factored.log_det == expected.factored.log_det
+
+
+class TestEarlyRejection:
+    """The step draws its uniform before the proposal's covariance and
+    rejects early when the ridge bound proves the rejection: every draw,
+    density, decision and factor is the unscreened step's."""
+
+    STEPS = 8
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3, 7]),
+        log_gamma=st.floats(-6.0, 0.0),
+        nu=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+        log_bandwidth=st.floats(np.log10(BANDWIDTH_FLOOR), 1.0),
+        n=st.integers(1, 100),
+        log_spread=st.floats(-4.0, 0.5),
+        log_width=st.floats(-4.0, 1.0),
+        canonical=st.booleans(),
+        carried=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_unscreened_step(
+        self, d, log_gamma, nu, log_bandwidth, n, log_spread, log_width, canonical, carried, seed
+    ):
+        # a Gaussian target of random width near a random subsample, so
+        # that the ratio, both covariances and the guard all vary
+        rng = np.random.default_rng(seed)
+        postprocess = canonicalize_grasp_vector if canonical and d == 7 else None
+        current = rng.standard_normal(d)
+        if postprocess is not None:
+            current = postprocess(current)
+        subsample = current + 10.0**log_spread * rng.standard_normal((n, d))
+        kernel = GaussianKernel(10.0**log_bandwidth)
+        config = KameleonConfig(gamma=10.0**log_gamma, nu=nu, subsample_size=n)
+        width = 10.0**log_width
+        center = current + width * rng.standard_normal(d)
+
+        def target(state):
+            scaled = (state - center) / width
+            return TargetValue(float(np.exp(-0.5 * (scaled @ scaled))), None)
+
+        density, factored = target(current).density, None
+        if carried and nu > 0.0:
+            factored = linalg.factor_covariance(kameleon.covariance_at(current, subsample, kernel, config))
+        rngs = [np.random.default_rng(seed + 1) for _ in range(2)]
+        for _ in range(self.STEPS):
+            results = []
+            for step, step_rng in zip((kameleon_step, unscreened_kameleon_step), rngs):
+                try:
+                    result = step(
+                        current, density, target, config, step_rng, subsample=subsample,
+                        kernel=kernel, postprocess=postprocess, current_factored=factored,
+                    )
+                except (DecompositionFailure, ZeroQuaternion) as error:
+                    result = type(error)
+                results.append((result, step_rng.bit_generator.state))
+            assert_same_step(*results)
+            step = results[0][0]
+            if isinstance(step, type):
+                return
+            if step.accepted:
+                current, density = step.proposal, step.proposal_density
+            factored = step.factored
+
+    # a subsample 50 bandwidths away has kernel values of exactly zero, so
+    # C = gamma^2 I whatever nu and the bandwidth; only the guard differs
+    FAR = np.full((10, 3), 50.0)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The points `kameleon_step` builds a covariance at."""
+        points = []
+
+        def counted(point, *args, _fn=kameleon.covariance_at):
+            points.append(point)
+            return _fn(point, *args)
+
+        monkeypatch.setattr(kameleon, "covariance_at", counted)
+        return points
+
+    def frozen_steps(self, builds, nu, bandwidth, steps=300):
+        """Covariances built at the proposal per step, and each step's
+        proposal and decision."""
+        target, cfg = standard_normal_target(3), KameleonConfig(gamma=1.0, nu=nu, subsample_size=10)
+        current, density, factored = np.zeros(3), target(np.zeros(3)).density, None
+        rng, counts, decisions = np.random.default_rng(11), [], []
+        for _ in range(steps):
+            before = len(builds)
+            step = kameleon_step(
+                current, density, target, cfg, rng,
+                subsample=self.FAR * bandwidth, kernel=GaussianKernel(bandwidth),
+                current_factored=factored,
+            )
+            counts.append(len(builds) - before - (factored is None))
+            decisions.append((step.proposal.tobytes(), step.accepted))
+            if step.accepted:
+                current, density = step.proposal, step.proposal_density
+            factored = step.factored
+        return counts, decisions
+
+    def test_the_guard_turns_the_screen_off(self, builds):
+        counts, decisions = self.frozen_steps(builds, 1.0, 1.0)
+        assert kameleon._backward_bound(KameleonConfig(1.0, 1.0, 10), 3, 10, 1.0) is not None
+        assert set(counts) == {0, 1} and counts.count(0) > 20
+        for nu, bandwidth in ((1.0, BANDWIDTH_FLOOR), (1e8, 1.0)):
+            assert kameleon._backward_bound(KameleonConfig(1.0, nu, 10), 3, 10, bandwidth) is None
+            guarded, same = self.frozen_steps(builds, nu, bandwidth)
+            assert guarded == [1] * len(guarded)
+            assert same == decisions
+
+    def test_a_zero_uniform_takes_the_full_path_without_a_warning(self, builds):
+        target, cfg = standard_normal_target(3), KameleonConfig(gamma=1.0, nu=1.0, subsample_size=10)
+        start = np.full(3, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step = kameleon_step(
+                start, target(start).density, target, cfg,
+                FixedUniform(np.random.default_rng(0), 0.0),
+                subsample=self.FAR, kernel=GaussianKernel(1.0),
+            )
+        assert step.accepted and len(builds) == 2
+
+
 def reference_darting_step(current, current_density, regions, target, config, rng, *, postprocess=None):
     """Reference: the jump attempt that tests the current state against
     every region and sums the region volumes on every call."""
@@ -567,7 +772,7 @@ def reference_run_chain(
     kameleon_config, darting=None, regions=(), postprocess=None,
 ):
     """Reference: the MH loop that builds the burn-in kernel on every
-    refresh and carries no region set."""
+    refresh, carries no region set and steps without early rejection."""
     current = np.asarray(current, dtype=float)
     value = target(current)
     density, outcome = float(value.density), value.outcome
@@ -600,7 +805,7 @@ def reference_run_chain(
             if accepted:
                 factored = None
         else:
-            move, step = "kameleon", kameleon_step(
+            move, step = "kameleon", unscreened_kameleon_step(
                 current, density, target, kameleon_config, rng,
                 subsample=subsample, kernel=kernel, postprocess=postprocess,
                 current_factored=factored,
@@ -642,8 +847,9 @@ def _run_chain_via_module(
 
 
 class TestLoopEquivalence:
-    """The lazy kernel, the carried region set and the once-per-chain
-    volumes change no draw, density, decision or generator state."""
+    """The lazy kernel, the carried region set, the once-per-chain volumes
+    and the early rejection change no draw, density, decision or generator
+    state."""
 
     @staticmethod
     def both(target, start, seeds, iterations, kameleon_config, darting, regions, seed, **kwargs):
