@@ -39,8 +39,8 @@ class DartingConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_check <= 1.0:
             raise ValueError("p_check must lie in [0, 1]")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, not {self.epsilon!r}")
 
 
 @dataclass(frozen=True)

@@ -225,6 +225,11 @@ def _reach(gripper: GripperModel) -> float:
     return max(radius, 0.5 * gripper.jaw_span)
 
 
+_MISS = GraspOutcome(MISS, 0.0)
+_COLLISION = GraspOutcome(COLLISION, 0.0)
+COARSE_STRIDE = 20  # a collision screen of several poses first probes every 20th lattice point
+
+
 def evaluate_grasp(grasp: Grasp, obj: ObjectModel, gripper: GripperModel) -> GraspOutcome:
     """Deterministic outcome cascade: collision, miss, then quality.
 
@@ -245,30 +250,62 @@ def evaluate_grasp(grasp: Grasp, obj: ObjectModel, gripper: GripperModel) -> Gra
     Hence a pose whose clearance from the box, less REACH_SLACK, exceeds
     the reach is a Miss with no SDF call, and one whose clearance exceeds
     half the jaw span is a Miss without the march unless it collides. Both
-    verdicts are the full cascade's.
+    verdicts are the full cascade's. The cascade is `_outcomes` for one
+    orientation.
     """
-    position = grasp.position
+    return _outcomes(grasp.position, [grasp.orientation], obj, gripper)[0]
+
+
+def _outcomes(
+    position: np.ndarray, orientations: list[np.ndarray], obj: ObjectModel, gripper: GripperModel
+) -> list[GraspOutcome]:
+    """evaluate_grasp's outcome for each pose at `position` with one of the
+    K unit quaternions `orientations`, stage by stage for all K at once.
+
+    The workspace cull and the reach test decide all K before any rotation
+    is built. The collision stage makes one distance call over every probe
+    when K = 1. For K > 1 it first probes every COARSE_STRIDE-th point of
+    every pose, then the other points of the poses not yet found
+    penetrating; each form is the faster one on its own side (measured in
+    README, "SDF call budget per evaluation"). The half-span test follows,
+    then `_grips` on the poses that do not collide. A point's distance does
+    not depend on the batch it is evaluated in, the batched product builds
+    each pose's probes bit for bit, and a pose whose coarse probes are all
+    at or above -COLLISION_TOLERANCE collides exactly when one of its other
+    probes is below, so each outcome is the one the pose gets alone.
+    """
     lo, hi = workspace_bounds(obj, gripper)
     if (position < lo).any() or (position > hi).any():
-        return GraspOutcome(MISS, 0.0)
+        return [_MISS] * len(orientations)
     gap = np.maximum(np.maximum(obj.bounds_lo - position, position - obj.bounds_hi), 0.0)
     clearance = math.sqrt(float(gap.dot(gap))) - REACH_SLACK
     if clearance > _reach(gripper):
-        return GraspOutcome(MISS, 0.0)
+        return [_MISS] * len(orientations)
 
-    rotation = quat.rotation_matrix(grasp.orientation)
-    probes = probe_points(gripper) @ rotation.T + position
-    if float(np.min(obj.distance(probes))) < -COLLISION_TOLERANCE:
-        return GraspOutcome(COLLISION, 0.0)
-    if clearance > 0.5 * gripper.jaw_span:
-        return GraspOutcome(MISS, 0.0)
-    return _grips(position, rotation[None], obj, gripper)[0]
+    rotations = np.array([quat.rotation_matrix(q) for q in orientations])
+    probes = probe_points(gripper) @ rotations.transpose(0, 2, 1) + position
+    stride = COARSE_STRIDE if len(rotations) > 1 else 1
+    hit = obj.distance(probes[:, ::stride]).min(axis=1) < -COLLISION_TOLERANCE
+    if stride > 1 and not hit.all():
+        undecided = np.flatnonzero(~hit)
+        rest = np.ones(probes.shape[1], dtype=bool)
+        rest[::stride] = False
+        fine = obj.distance(probes[np.ix_(undecided, rest)]).min(axis=1)
+        hit[undecided] = fine < -COLLISION_TOLERANCE
+    hits = hit.tolist()
+    outcomes = [_COLLISION if h else _MISS for h in hits]
+    clear = [k for k, h in enumerate(hits) if not h]
+    if clearance > 0.5 * gripper.jaw_span or not clear:
+        return outcomes
+    for k, outcome in zip(clear, _grips(position, rotations[clear], obj, gripper)):
+        outcomes[k] = outcome
+    return outcomes
 
 
 def _grips(
     position: np.ndarray, rotations: np.ndarray, obj: ObjectModel, gripper: GripperModel
 ) -> list[GraspOutcome]:
-    """Stages 3-5 of evaluate_grasp for the poses at `position` in the
+    """Stages 3-5 of the cascade for the poses at `position` in the
     (K, 3, 3) `rotations`, whose bodies do not collide: one march call, at
     most one bisection call and one normal call for all K. A point's
     distance does not depend on the batch it is evaluated in, so each
@@ -283,7 +320,7 @@ def _grips(
         gripper.jaw_span,
         CONTACT_TOLERANCE,
     )
-    outcomes = [GraspOutcome(MISS, 0.0)] * len(rotations)
+    outcomes = [_MISS] * len(rotations)
     if not pairs.size:
         return outcomes
     normals = obj.normal(contacts.reshape(-1, 3)).reshape(-1, 2, 3)
@@ -391,81 +428,45 @@ def sample_surface_point(obj: ObjectModel, rng: np.random.Generator) -> np.ndarr
             return points[int(hits[0])]
 
 
-COARSE_STRIDE = 20  # a collision screen first probes every 20th lattice point
 DEMONSTRATION_ATTEMPTS = 10_000  # surface points a search tries before it gives up
 TRIALS_PER_POINT = 200  # orientation trials at one surface point
 RESTART_EVERY = 25  # trials from one heuristic-frame restart to the next
 PERTURBATION_KAPPA = 150.0  # vMF concentration of a perturbation of the incumbent
 
 
-def _collides(
-    obj: ObjectModel, gripper: GripperModel, position: np.ndarray, rotations: np.ndarray
-) -> np.ndarray:
-    """evaluate_grasp's collision verdict, min < -COLLISION_TOLERANCE, for
-    each pose at `position` in the (K, 3, 3) `rotations`.
-
-    One distance call on every COARSE_STRIDE-th probe of every pose decides
-    the poses it finds penetrating. One more call on the other probes of the
-    rest completes their minimum. A point's distance does not depend on the
-    batch it is evaluated in, and the batched product gives each pose the
-    probe points evaluate_grasp builds, so each verdict is evaluate_grasp's.
-    """
-    probes = probe_points(gripper) @ rotations.transpose(0, 2, 1) + position
-    coarse = obj.distance(probes[:, ::COARSE_STRIDE]).min(axis=1)
-    hit = coarse < -COLLISION_TOLERANCE
-    undecided = np.flatnonzero(~hit)
-    if undecided.size:
-        rest = np.ones(probes.shape[1], dtype=bool)
-        rest[::COARSE_STRIDE] = False
-        fine = obj.distance(probes[np.ix_(undecided, rest)]).min(axis=1)
-        hit[undecided] = np.minimum(coarse[undecided], fine) < -COLLISION_TOLERANCE
-    return hit
-
-
 def _climb(
     obj: ObjectModel,
     gripper: GripperModel,
-    restarts: dict[int, np.ndarray],
     position: np.ndarray,
+    restarts: list[np.ndarray],
+    qualities: list[float],
     draws: list,
 ) -> tuple[np.ndarray, float]:
     """Keep-best orientation search at one position: (best orientation,
     best quality) over one trial per entry of `draws`.
 
-    Trial t is the restart frame `restarts[t]` when t is a multiple of
-    RESTART_EVERY, and otherwise the vMF perturbation of the incumbent that
-    the draw `draws[t]` orients. The result is that of evaluating the
-    trials one by one with evaluate_grasp: the trials up to the next
-    restart are built from the current incumbent, screened for collision
-    together, and the ones that do not collide gripped together (`_grips`).
-    They are then walked in order, and the batch is rebuilt after the first
-    one that improves.
+    Trial t is the restart frame `restarts[t // RESTART_EVERY]`, of known
+    quality, when t is a multiple of RESTART_EVERY, and otherwise the vMF
+    perturbation of the incumbent that the draw `draws[t]` orients. The
+    result is that of evaluating the trials one by one with evaluate_grasp:
+    the perturbations up to the next restart are built from the current
+    incumbent and evaluated together (`_outcomes`). They are then walked in
+    order, and the batch is rebuilt after the first one that improves.
     """
-    best_q: np.ndarray | None = None
-    best_quality = -1.0
-    trial = 0
-    while trial < len(draws):
-        if best_q is None:
-            end, mean = trial + 1, None
-        else:
-            end = min(len(draws), (trial // RESTART_EVERY + 1) * RESTART_EVERY)
+    best_q, best_quality = restarts[0], qualities[0]
+    for start, restart, quality in zip(range(0, len(draws), RESTART_EVERY), restarts, qualities):
+        if quality > best_quality:
+            best_q, best_quality = restart, quality
+        trial, end = start + 1, min(len(draws), start + RESTART_EVERY)
+        while trial < end:
             mean = VonMisesFisher(best_q, PERTURBATION_KAPPA)
-        candidates = [
-            restarts[t] if t % RESTART_EVERY == 0
-            else quat.canonicalize(orient_vmf(mean, draws[t]))
-            for t in range(trial, end)
-        ]
-        rotations = np.array([quat.rotation_matrix(c) for c in candidates])
-        clear = np.flatnonzero(~_collides(obj, gripper, position, rotations))
-        qualities = [0.0] * len(candidates)
-        if clear.size:
-            for k, outcome in zip(clear.tolist(), _grips(position, rotations[clear], obj, gripper)):
-                qualities[k] = outcome.quality
-        for candidate, quality in zip(candidates, qualities):
-            trial += 1
-            if quality > best_quality:
-                best_q, best_quality = candidate, quality
-                break
+            candidates = [quat.canonicalize(orient_vmf(mean, draws[t])) for t in range(trial, end)]
+            outcomes = _outcomes(position, candidates, obj, gripper)
+            for candidate, outcome in zip(candidates, outcomes):
+                trial += 1
+                if outcome.quality > best_quality:
+                    best_q, best_quality = candidate, outcome.quality
+                    break
     return best_q, best_quality
 
 
@@ -487,18 +488,16 @@ def demonstrate_grasps(
 
     An attempt makes every trial's random draws first, in trial order (a
     restart's roll, a perturbation's `draw_vmf`), since none depends on an
-    outcome. A position outside the workspace makes every trial a Miss and
-    calls no SDF. Otherwise the attempt screens its restart frames for
-    collision in one batch and is abandoned when all of them collide: such
-    an attempt rarely succeeds, and making its draws anyway leaves every
-    later attempt the generator stream it would have had. The climb (see
-    `_climb`) then screens and grips its trials in batches. Apart from the
+    outcome. The attempt then evaluates its restart frames in one batch
+    (`_outcomes`) and is abandoned when all of them collide: such an
+    attempt rarely succeeds, and making its draws anyway leaves every later
+    attempt the generator stream it would have had. The climb (see
+    `_climb`) then evaluates its other trials in batches. Apart from the
     abandoned attempts, the grasps, qualities and generator state are those
     of evaluating each trial in turn with evaluate_grasp.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    lo, hi = workspace_bounds(obj, gripper)
     found: list[tuple[Grasp, float]] = []
     attempts = 0
     while len(found) < count:
@@ -519,16 +518,15 @@ def demonstrate_grasps(
             else draw_vmf(PERTURBATION_KAPPA, 4, rng)
             for trial in range(TRIALS_PER_POINT)
         ]
-        if np.any(position < lo) or np.any(position > hi):
-            continue
-        restarts = {
-            t: _heuristic_orientation(point, normal, obj, draws[t])
+        restarts = [
+            _heuristic_orientation(point, normal, obj, draws[t])
             for t in range(0, TRIALS_PER_POINT, RESTART_EVERY)
-        }
-        rotations = np.array([quat.rotation_matrix(q) for q in restarts.values()])
-        if _collides(obj, gripper, position, rotations).all():
+        ]
+        outcomes = _outcomes(position, restarts, obj, gripper)
+        if all(outcome.kind == COLLISION for outcome in outcomes):
             continue
-        best_q, best_quality = _climb(obj, gripper, restarts, position, draws)
+        qualities = [outcome.quality for outcome in outcomes]
+        best_q, best_quality = _climb(obj, gripper, position, restarts, qualities, draws)
         if best_quality > 0.0:
             found.append((Grasp(position, best_q), best_quality))
     return found

@@ -9,6 +9,7 @@ lie at x = +/- jaw_span / 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,8 +28,9 @@ class GripperModel:
 
     def __post_init__(self) -> None:
         for name in ("jaw_span", "finger_length", "finger_width", "palm_depth"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, not {value!r}")
 
     def body_boxes(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(center, half_extents) of palm and both fingers, gripper frame."""

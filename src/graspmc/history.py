@@ -19,7 +19,8 @@ from .grasping import OUTCOME_KINDS
 
 OUTCOME_LABELS = (*OUTCOME_KINDS, None)  # code -1 indexes the trailing None
 OUTCOME_CODES = {label: code for code, label in enumerate(OUTCOME_KINDS)} | {None: -1}
-MOVE_DTYPE = "U11"  # fits "kameleon", "random-walk", "jump" and "recount"
+MOVES = ("kameleon", "random-walk", "jump", "recount")  # every move name the MH loop records
+MOVE_DTYPE = f"U{max(map(len, MOVES))}"
 
 
 def rows(values=()) -> np.ndarray:

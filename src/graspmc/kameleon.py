@@ -60,10 +60,10 @@ class KameleonConfig:
     burn_in: int = 0
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        if self.nu < 0.0:
-            raise ValueError("nu must be nonnegative")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, not {self.gamma!r}")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError(f"nu must be nonnegative and finite, not {self.nu!r}")
         if self.subsample_size < 1:
             raise ValueError("subsample size must be a positive integer")
         if self.burn_in < 0:
@@ -380,7 +380,6 @@ def run_kameleon_chain(
     rng: np.random.Generator,
     *,
     history: ChainHistory | None = None,
-    postprocess: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> ChainHistory:
     """Pure Kameleon chain: adapt during burn-in, then freeze the subsample.
 
@@ -389,7 +388,4 @@ def run_kameleon_chain(
     """
     current = np.asarray(initial_state, dtype=float)
     history = history if history is not None else ChainHistory()
-    return _run_chain(
-        target, current, target(current), iterations, history, rng,
-        kameleon=config, postprocess=postprocess,
-    )
+    return _run_chain(target, current, target(current), iterations, history, rng, kameleon=config)

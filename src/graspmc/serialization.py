@@ -15,7 +15,7 @@ from . import quaternions as quat
 from .darting import JumpRegion
 from .errors import GraspMCError, read_document
 from .grasping import GRASP_DIM, Grasp
-from .history import MOVE_DTYPE, OUTCOME_CODES, OUTCOME_LABELS, ChainHistory, rows
+from .history import MOVE_DTYPE, MOVES, OUTCOME_CODES, OUTCOME_LABELS, ChainHistory, rows
 from .learning import LearnedModel, RoughSketch
 from .objects import OBJECT_NAMES
 
@@ -84,8 +84,12 @@ def history_from_dict(doc: dict) -> ChainHistory:
     """The history written by `history_to_dict`; each step's decision is
     read from its proposal record, not the document's repeated list.
     Raises ValueError on a negative or non-finite density, or on seed or
-    step columns of different lengths, and TypeError unless its states and
-    densities are JSON numbers and its flags JSON booleans."""
+    step columns of different lengths, or on a move that is not one of
+    `MOVES`, and TypeError unless its states and densities are JSON numbers
+    and its flags JSON booleans."""
+    unknown = [move for move in doc["moves"] if move not in MOVES]
+    if unknown:
+        raise ValueError(f"unknown moves {unknown[:3]!r}; a chain records only {MOVES!r}")
     h = ChainHistory(
         _typed("proposal_sourced", doc["proposal_sourced"], _FLAG),
         rows(_typed("seed_states", doc["seed_states"])),

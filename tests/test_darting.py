@@ -145,6 +145,12 @@ class TestJumpTransform:
             assert np.linalg.norm(back - x) < 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+def test_config_refuses_a_nonpositive_or_nonfinite_epsilon(bad):
+    with pytest.raises(ValueError, match="epsilon"):
+        DartingConfig(p_check=0.6, epsilon=bad)
+
+
 class TestDartingStep:
     def bimodal_setup(self):
         centers = np.array([[0.0, 0.0], [6.0, 0.0]])

@@ -418,6 +418,8 @@ class TestModelDocuments:
             (("chain", "states"), []),
             (("chain", "densities"), [1.0]),
             (("chain", "moves"), ["kameleon"]),
+            (("chain", "moves", 0), "teleport-to-the-moon"),
+            (("chain", "moves", 1), 7),
             (("chain", "seed_densities"), [1.0]),
             (("regions", 0, "center"), [0.0] * 6),
             (("regions", 0, "rotation"), np.eye(6).tolist()),
@@ -430,7 +432,7 @@ class TestModelDocuments:
             "mode-density-count", "negative-mode-density", "nan-mode-density",
             "negative-seed-density", "infinite-chain-density", "nan-proposal-density",
             "negative-seed-proposal-density", "states-shorter", "densities-shorter",
-            "moves-shorter", "seed-densities-shorter", "region-center-6d", "region-rotation-6d",
+            "moves-shorter", "unknown-move", "numeric-move", "seed-densities-shorter", "region-center-6d", "region-rotation-6d",
             "region-scales-8d", "zero-mode-quaternion", "zero-proposal-quaternion",
             "six-component-seed-states",
         ],

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 from unittest import mock
 
@@ -38,10 +39,11 @@ from graspmc.grasping import (
     _heuristic_orientation,
     _jaw_contacts,
     _material_thickness,
+    _outcomes,
     _reach,
     workspace_bounds,
 )
-from graspmc.gripper import default_gripper, probe_points
+from graspmc.gripper import GripperModel, default_gripper, probe_points
 from graspmc.objects import ObjectModel, get_object, object_catalog
 from graspmc.targets import TargetValue
 from graspmc.vmf import VonMisesFisher, sample_vmf
@@ -96,6 +98,14 @@ class TestOutcomeTypes:
             Grasp(np.zeros(3), np.array([bad, 0.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="orientation"):
             Grasp.from_vector(np.array([0.0, 0.0, 0.0, 1.0, 0.0, bad, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.01])
+@pytest.mark.parametrize("name", ["jaw_span", "finger_length", "finger_width", "palm_depth"])
+def test_gripper_refuses_a_nonpositive_or_nonfinite_dimension(name, bad):
+    dimensions = dataclasses.asdict(GRIPPER) | {name: bad}
+    with pytest.raises(ValueError, match=name):
+        GripperModel(**dimensions)
 
 
 class TestEvaluateGrasp:
@@ -425,28 +435,6 @@ def test_evaluate_grasp_matches_reference_with_no_more_sdf_calls(case):
         assert ours.shape.calls <= 4
 
 
-@settings(max_examples=150, deadline=None)
-@given(grip_poses(), st.integers(1, 30), st.integers(0, 2**32 - 1))
-def test_grips_on_k_rotations_equal_k_single_grips(case, k, seed):
-    """The K poses gripped together get the outcomes they get one by one,
-    quality bytes included: rotations of the pose perturbed by vMF draws
-    around it, and some uniformly random ones."""
-    obj, grasp = case
-    rng = np.random.default_rng(seed)
-    orientations = [
-        quat.canonicalize(sample_vmf(VonMisesFisher(grasp.orientation, kappa), rng))
-        for kappa in rng.choice([0.0, 20.0, 150.0, 1e4], size=k)
-    ]
-    rotations = np.array([quat.rotation_matrix(q) for q in orientations])
-    together = _grips(grasp.position, rotations, obj, GRIPPER)
-    alone = [_grips(grasp.position, r[None], obj, GRIPPER)[0] for r in rotations]
-    for outcome in together:
-        event(outcome.kind)
-    assert [o.kind for o in together] == [o.kind for o in alone]
-    qualities = [np.array([o.quality for o in outcomes]).tobytes() for outcomes in (together, alone)]
-    assert qualities[0] == qualities[1]
-
-
 def test_grips_make_three_sdf_calls_for_a_batch():
     plate = counting(get_object("plate"))
     grasps = [rim_pinch_grasp(azimuth=a) for a in np.linspace(0.0, 3.0, 12)]
@@ -532,6 +520,62 @@ def test_reach_test_agrees_with_the_full_cascade(case):
         assert ours.shape.calls <= theirs.shape.calls
 
 
+# a workspace box equal to the object's bounds, so positions a millimetre
+# off a bounding face are culled
+TIGHT = EvaluationConfig(workspace_margin_factor=0.0)
+
+
+@contextlib.contextmanager
+def search_settings(config=DEFAULT_EVALUATION, **constants):
+    """The cascade and both searches with the workspace box of `config` and
+    the search constants `constants`, e.g. RESTART_EVERY=3."""
+    bounds = functools.partial(workspace_bounds, config=config)
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(grasping, "workspace_bounds", bounds))
+        for name, value in constants.items():
+            stack.enter_context(mock.patch.object(grasping, name, value))
+        yield
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    grip_poses() | workspace_poses(),
+    st.integers(1, 30),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([DEFAULT_EVALUATION, TIGHT]),
+)
+def test_outcomes_of_k_orientations_equal_k_evaluations(case, k, seed, config):
+    """The cascade on K orientations at one position gives each pose the
+    outcome evaluate_grasp gives it alone, quality bytes included: the
+    pose's orientation perturbed by vMF draws around it, and some
+    uniformly random ones. The tight workspace culls the positions off the
+    object's bounds box that the default one keeps."""
+    obj, grasp = case
+    position = grasp.position
+    rng = np.random.default_rng(seed)
+    grasps = [
+        Grasp(position, sample_vmf(VonMisesFisher(grasp.orientation, kappa), rng))
+        for kappa in rng.choice([0.0, 20.0, 150.0, 1e4], size=k)
+    ]
+    with search_settings(config):
+        together = _outcomes(position, [g.orientation for g in grasps], obj, GRIPPER)
+        alone = [evaluate_grasp(g, obj, GRIPPER) for g in grasps]
+        lo, hi = grasping.workspace_bounds(obj, GRIPPER)
+    outside = np.maximum(np.maximum(obj.bounds_lo - position, position - obj.bounds_hi), 0.0)
+    clearance = float(np.linalg.norm(outside)) - REACH_SLACK
+    if np.any(position < lo) or np.any(position > hi):
+        event("culled")
+    elif clearance > _reach(GRIPPER):
+        event("beyond reach")
+    elif clearance > 0.5 * GRIPPER.jaw_span:
+        event("beyond the jaws")
+    for outcome in together:
+        event(outcome.kind)
+    assert [o.kind for o in together] == [o.kind for o in alone]
+    qualities = [np.array([o.quality for o in outcomes]).tobytes() for outcomes in (together, alone)]
+    assert qualities[0] == qualities[1]
+
+
 
 # --------------------------------------------------------------------------
 # the batched demonstration search against one evaluate_grasp call per trial
@@ -596,23 +640,6 @@ def search_result(search, obj, count, *, seed):
     return result, rng.bit_generator.state
 
 
-# a workspace box equal to the object's bounds, so positions a millimetre
-# off a bounding face are culled
-TIGHT = EvaluationConfig(workspace_margin_factor=0.0)
-
-
-@contextlib.contextmanager
-def search_settings(config=DEFAULT_EVALUATION, **constants):
-    """Both searches with the workspace box of `config` and the search
-    constants `constants`, e.g. RESTART_EVERY=3."""
-    bounds = functools.partial(workspace_bounds, config=config)
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(grasping, "workspace_bounds", bounds))
-        for name, value in constants.items():
-            stack.enter_context(mock.patch.object(grasping, name, value))
-        yield
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(CATALOG[:7:3] + MOVED[:7:3] + [sphere_object(0.02)]),
@@ -647,35 +674,45 @@ def test_batched_search_matches_sequential_search_at_defaults():
 
 def test_culled_position_draws_every_trial_and_calls_no_sdf(monkeypatch):
     """On a wide box every position sits a millimetre outside a face, so the
-    tight workspace culls every attempt."""
+    tight workspace culls every attempt: it grips nothing, and its restart
+    screen and climb make no distance call."""
     side = 10.0 * GRIPPER.jaw_span
-    box = ObjectModel("slab", sdf.Box([side] * 3), -side * np.ones(3), side * np.ones(3))
+    box = counting(ObjectModel("slab", sdf.Box([side] * 3), -side * np.ones(3), side * np.ones(3)))
+    calls = []
+    outcomes = grasping._outcomes
+
+    def counted(position, orientations, obj, gripper):
+        before = obj.shape.calls
+        result = outcomes(position, orientations, obj, gripper)
+        calls.append(obj.shape.calls - before)
+        return result
 
     def never(*args):
-        raise AssertionError("a culled attempt screened or gripped a pose")
+        raise AssertionError("a culled attempt gripped a pose")
 
     with search_settings(TIGHT, DEMONSTRATION_ATTEMPTS=3, TRIALS_PER_POINT=30):
         expected = search_result(reference_search, box, 1, seed=4)
         assert expected[0] == "3 attempts produced 0/1 demonstrations"
-        monkeypatch.setattr(grasping, "_collides", never)
+        monkeypatch.setattr(grasping, "_outcomes", counted)
         monkeypatch.setattr(grasping, "_grips", never)
         assert search_result(demonstrate_grasps, box, 1, seed=4) == expected
+    assert calls and not any(calls)
 
 
 def test_colliding_restarts_draw_every_trial_and_grip_nothing(monkeypatch):
     """On a box far wider than the jaws every position sits a millimetre
     off a face, and every heuristic frame closes the jaws along the face's
-    normal, so one finger is inside: each attempt makes its draws, screens
-    its restart frames in one call and is abandoned."""
+    normal, so one finger is inside: each attempt makes its draws,
+    evaluates its restart frames in one call and is abandoned."""
     side = 10.0 * GRIPPER.jaw_span
     box = ObjectModel("slab", sdf.Box([side] * 3), -side * np.ones(3), side * np.ones(3))
-    screens = []
-    collides = grasping._collides
+    evaluations = []
+    outcomes = grasping._outcomes
 
-    def screen(*args):
-        hit = collides(*args)
-        screens.append(hit)
-        return hit
+    def recorded(*args):
+        result = outcomes(*args)
+        evaluations.append([outcome.kind for outcome in result])
+        return result
 
     def never(*args):
         raise AssertionError("an abandoned attempt gripped a pose")
@@ -683,11 +720,11 @@ def test_colliding_restarts_draw_every_trial_and_grip_nothing(monkeypatch):
     with search_settings(DEMONSTRATION_ATTEMPTS=3):
         expected = search_result(reference_search, box, 1, seed=4)
         assert expected[0] == "3 attempts produced 0/1 demonstrations"
-        monkeypatch.setattr(grasping, "_collides", screen)
+        monkeypatch.setattr(grasping, "_outcomes", recorded)
         monkeypatch.setattr(grasping, "_grips", never)
         assert search_result(demonstrate_grasps, box, 1, seed=4) == expected
     restarts = grasping.TRIALS_PER_POINT // grasping.RESTART_EVERY
-    assert [hit.tolist() for hit in screens] == [[True] * restarts] * 3
+    assert evaluations == [[COLLISION] * restarts] * 3
 
 
 @pytest.mark.parametrize("bad", [{"count": 0}])

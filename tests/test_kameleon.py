@@ -175,6 +175,17 @@ def constant_then_zero_target(zero_region_x):
     return fn
 
 
+@pytest.mark.parametrize(
+    "name, bad",
+    [("gamma", np.nan), ("gamma", np.inf), ("gamma", 0.0),
+     ("nu", np.nan), ("nu", np.inf), ("nu", -1.0)],
+)
+def test_config_refuses_a_nonfinite_or_out_of_range_scale(name, bad):
+    values = {"gamma": 0.5, "nu": 1.0, "subsample_size": 10} | {name: bad}
+    with pytest.raises(ValueError, match=name):
+        KameleonConfig(**values)
+
+
 class TestKameleonStep:
     def test_zero_density_proposal_always_rejected(self):
         cfg = KameleonConfig(gamma=0.1, nu=0.0, subsample_size=10)

@@ -11,7 +11,7 @@ from graspmc.darting import DartingConfig, build_jump_region
 from graspmc.errors import GraspMCError, InvalidDemonstration
 from graspmc.grasping import OUTCOME_KINDS, Grasp, demonstrate_grasps, make_target
 from graspmc.gripper import default_gripper
-from graspmc.history import MOVE_DTYPE, OUTCOME_CODES, ChainHistory, rows
+from graspmc.history import MOVE_DTYPE, MOVES, OUTCOME_CODES, ChainHistory, rows
 from graspmc.kameleon import KameleonConfig
 from graspmc.learning import (
     LearnedModel,
@@ -398,7 +398,7 @@ def histories(draw):
     states, densities, _, _ = draw(proposal_columns(dim))
     steps = len(states)
     step_columns = draw(proposal_columns(dim, st.just(steps)))
-    move = st.sampled_from(["kameleon", "random-walk", "jump", "recount"])
+    move = st.sampled_from(MOVES)
     moves = draw(st.lists(move, min_size=steps, max_size=steps))
     return ChainHistory(
         draw(st.booleans()), seed_states, seed_densities, *draw(proposal_columns(dim)),
