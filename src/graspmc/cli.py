@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import fields
@@ -80,6 +81,17 @@ def _integer_at_least(minimum: int):
 
 _NONNEGATIVE = _integer_at_least(0)
 _POSITIVE = _integer_at_least(1)
+
+
+def _finite_nonnegative(text: str) -> float:
+    """An argparse type: a finite real number no smaller than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, not {text!r}") from None
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, not {text}")
+    return value
 
 
 def _add_seed_flags(parser: argparse.ArgumentParser) -> None:
@@ -195,8 +207,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--iterations", type=_POSITIVE, default=_DEFAULTS["burn_in"] + _DEFAULTS["iterations"]
     )
-    p.add_argument("--position-sigma", type=float, default=_DEFAULTS["position_sigma"])
-    p.add_argument("--kappa", type=float, default=_DEFAULTS["kappa"])
+    p.add_argument(
+        "--position-sigma", type=_finite_nonnegative, default=_DEFAULTS["position_sigma"]
+    )
+    p.add_argument("--kappa", type=_finite_nonnegative, default=_DEFAULTS["kappa"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sketch)
 

@@ -112,7 +112,7 @@ def select_jump_target(cumulative: np.ndarray, rng: np.random.Generator) -> int:
     from the `cumulative_volumes` of the regions."""
     if not len(cumulative):
         raise NoRegions("no jump regions to select from")
-    u = rng.uniform() * cumulative[-1]
+    u = rng.random() * cumulative[-1]
     return min(int(np.searchsorted(cumulative, u, side="right")), len(cumulative) - 1)
 
 
@@ -190,6 +190,6 @@ def darting_step(
         else symmetric_acceptance(n_current * proposal_density, n_proposal * current_density)
     )
     return DartingStep(
-        bool(rng.uniform() < alpha), proposal, proposal_density, value.outcome,
+        bool(rng.random() < alpha), proposal, proposal_density, value.outcome,
         containing, proposal_containing,
     )

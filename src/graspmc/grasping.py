@@ -250,41 +250,54 @@ def evaluate_grasp(grasp: Grasp, obj: ObjectModel, gripper: GripperModel) -> Gra
     Hence a pose whose clearance from the box, less REACH_SLACK, exceeds
     the reach is a Miss with no SDF call, and one whose clearance exceeds
     half the jaw span is a Miss without the march unless it collides. Both
-    verdicts are the full cascade's. The cascade is `_outcomes` for one
-    orientation.
+    verdicts are the full cascade's, whatever the last bit of the computed
+    clearance. The cascade is `_outcomes` for one pose.
     """
-    return _outcomes(grasp.position, [grasp.orientation], obj, gripper)[0]
+    return _outcomes(grasp.position, grasp.orientation[None], obj, gripper)[0]
 
 
 def _outcomes(
-    position: np.ndarray, orientations: list[np.ndarray], obj: ObjectModel, gripper: GripperModel
+    positions: np.ndarray, orientations: np.ndarray, obj: ObjectModel, gripper: GripperModel
 ) -> list[GraspOutcome]:
-    """evaluate_grasp's outcome for each pose at `position` with one of the
-    K unit quaternions `orientations`, stage by stage for all K at once.
+    """evaluate_grasp's outcome for each of K poses, stage by stage for all
+    K at once: pose k is at row k of the (K, 3) `positions` (or at the one
+    (3,) position of all K) with row k of the (K, 4) unit quaternions
+    `orientations`.
 
     The workspace cull and the reach test decide all K before any rotation
-    is built. The collision stage makes one distance call over every probe
-    when K = 1. For K > 1 it first probes every COARSE_STRIDE-th point of
-    every pose, then the other points of the poses not yet found
-    penetrating; each form is the faster one on its own side (measured in
-    README, "SDF call budget per evaluation"). The half-span test follows,
-    then `_grips` on the poses that do not collide. A point's distance does
-    not depend on the batch it is evaluated in, the batched product builds
-    each pose's probes bit for bit, and a pose whose coarse probes are all
-    at or above -COLLISION_TOLERANCE collides exactly when one of its other
-    probes is below, so each outcome is the one the pose gets alone.
+    is built; a position with a non-finite component is culled. The
+    collision stage makes one distance call over every probe of the poses
+    left when there is one. For more it first probes every
+    COARSE_STRIDE-th point of every pose, then the other points of the
+    poses not yet found penetrating; each form is the faster one on its own
+    side (measured in README, "SDF call budget per evaluation"). The
+    half-span test follows, then `_grips` on the poses that do not collide.
+    A point's distance does not depend on the batch it is evaluated in, the
+    batched product builds each pose's probes bit for bit, and a pose whose
+    coarse probes are all at or above -COLLISION_TOLERANCE collides exactly
+    when one of its other probes is below, so each outcome is the one the
+    pose gets alone.
     """
+    orientations = np.asarray(orientations, dtype=float)
+    positions = np.asarray(positions, dtype=float)
+    shared = positions.ndim == 1
     lo, hi = workspace_bounds(obj, gripper)
-    if (position < lo).any() or (position > hi).any():
-        return [_MISS] * len(orientations)
-    gap = np.maximum(np.maximum(obj.bounds_lo - position, position - obj.bounds_hi), 0.0)
-    clearance = math.sqrt(float(gap.dot(gap))) - REACH_SLACK
-    if clearance > _reach(gripper):
-        return [_MISS] * len(orientations)
+    box = list(zip(lo.tolist(), hi.tolist(), obj.bounds_lo.tolist(), obj.bounds_hi.tolist()))
+    rows = [positions.tolist()] if shared else positions.tolist()
+    clearances = [_clearance(row, box) for row in rows]
+    if shared:
+        clearances *= len(orientations)
+    reach = _reach(gripper)
+    live = [k for k, clearance in enumerate(clearances) if clearance <= reach]
+    outcomes = [_MISS] * len(orientations)
+    if not live:
+        return outcomes
 
-    rotations = np.array([quat.rotation_matrix(q) for q in orientations])
-    probes = probe_points(gripper) @ rotations.transpose(0, 2, 1) + position
-    stride = COARSE_STRIDE if len(rotations) > 1 else 1
+    every = len(live) == len(orientations)
+    rotations = quat.rotation_matrices(orientations if every else orientations[live])
+    points = positions if shared or every else positions[live]
+    probes = probe_points(gripper) @ rotations.transpose(0, 2, 1) + points[..., None, :]
+    stride = COARSE_STRIDE if len(live) > 1 else 1
     hit = obj.distance(probes[:, ::stride]).min(axis=1) < -COLLISION_TOLERANCE
     if stride > 1 and not hit.all():
         undecided = np.flatnonzero(~hit)
@@ -292,30 +305,51 @@ def _outcomes(
         rest[::stride] = False
         fine = obj.distance(probes[np.ix_(undecided, rest)]).min(axis=1)
         hit[undecided] = fine < -COLLISION_TOLERANCE
-    hits = hit.tolist()
-    outcomes = [_COLLISION if h else _MISS for h in hits]
-    clear = [k for k, h in enumerate(hits) if not h]
-    if clearance > 0.5 * gripper.jaw_span or not clear:
-        return outcomes
-    for k, outcome in zip(clear, _grips(position, rotations[clear], obj, gripper)):
-        outcomes[k] = outcome
+    half_span = 0.5 * gripper.jaw_span
+    grip = []  # indices into `live` of the poses that do not collide and may touch
+    for i, (k, h) in enumerate(zip(live, hit.tolist())):
+        if h:
+            outcomes[k] = _COLLISION
+        elif clearances[k] <= half_span:
+            grip.append(i)
+    if grip:
+        if len(grip) < len(live):
+            rotations = rotations[grip]
+            points = points if shared else points[grip]
+        for i, outcome in zip(grip, _grips(points, rotations, obj, gripper)):
+            outcomes[live[i]] = outcome
     return outcomes
 
 
+def _clearance(position: list[float], box: list[tuple[float, float, float, float]]) -> float:
+    """The distance of `position` from the object's bounds box less
+    REACH_SLACK; infinite outside the workspace box, and for a non-finite
+    position. `box` holds each axis's workspace and object bounds, (lo, hi,
+    object lo, object hi)."""
+    squared = 0.0
+    for p, (lo, hi, object_lo, object_hi) in zip(position, box):
+        if not lo <= p <= hi:
+            return math.inf
+        gap = max(object_lo - p, p - object_hi, 0.0)
+        squared += gap * gap
+    return math.sqrt(squared) - REACH_SLACK
+
+
 def _grips(
-    position: np.ndarray, rotations: np.ndarray, obj: ObjectModel, gripper: GripperModel
+    positions: np.ndarray, rotations: np.ndarray, obj: ObjectModel, gripper: GripperModel
 ) -> list[GraspOutcome]:
-    """Stages 3-5 of the cascade for the poses at `position` in the
-    (K, 3, 3) `rotations`, whose bodies do not collide: one march call, at
-    most one bisection call and one normal call for all K. A point's
-    distance does not depend on the batch it is evaluated in, so each
-    outcome is the one the pose gets alone."""
+    """Stages 3-5 of the cascade for the K poses at the (K, 3) `positions`
+    (or one (3,) position of all K) with the (K, 3, 3) `rotations`, whose
+    bodies do not collide: one march call, at most one bisection call and
+    one normal call for all K. A point's distance does not depend on the
+    batch it is evaluated in, so each outcome is the one the pose gets
+    alone."""
     closings = rotations @ CLOSING_AXIS
     half_span = 0.5 * gripper.jaw_span
     sides = np.array([[1.0], [-1.0]])
     pairs, contacts = _jaw_contacts(
         obj,
-        position + sides * half_span * closings[:, None, :],
+        positions[..., None, :] + sides * half_span * closings[:, None, :],
         -sides * closings[:, None, :],
         gripper.jaw_span,
         CONTACT_TOLERANCE,
@@ -346,17 +380,24 @@ TARGET_MEMO_SIZE = 256  # most recent states whose values a target remembers
 def make_target(obj: ObjectModel, gripper: GripperModel) -> TargetFn:
     """Unnormalized grasp density: the quality proxy, zero on any failure.
 
+    A state is evaluated as the grasp `Grasp.from_vector` makes of it, but
+    straight from the vector: the position block as it is, the quaternion
+    block canonicalized. A non-finite state is a Miss, and a state of
+    another shape than (GRASP_DIM,) raises ValueError.
+
     The target remembers the values of the last TARGET_MEMO_SIZE finite
     states it evaluated, keyed by their shape and bytes, and gives a
     repeated state its stored value without evaluating it again. A chain's
-    darting jumps propose the same mode states over and over.
-    evaluate_grasp is deterministic, so the stored value is the value.
+    darting jumps propose the same mode states over and over. The cascade
+    is deterministic, so the stored value is the value.
     """
 
     @lru_cache(maxsize=TARGET_MEMO_SIZE)
     def evaluate(shape: tuple[int, ...], data: bytes) -> TargetValue:
-        state = np.frombuffer(data).reshape(shape)
-        outcome = evaluate_grasp(Grasp.from_vector(state), obj, gripper)
+        if shape != (GRASP_DIM,):
+            raise ValueError(f"grasp vector must have {GRASP_DIM} components, got shape {shape}")
+        state = np.frombuffer(data)
+        outcome = _outcomes(state[:3], quat.canonicalize(state[3:])[None], obj, gripper)[0]
         return TargetValue(outcome.quality, outcome.kind)
 
     def density(state: np.ndarray) -> TargetValue:

@@ -244,7 +244,7 @@ def kameleon_step(
         log_target_ratio = np.log(proposal_density) - np.log(current_density)
         bound = _backward_bound(config, current.size, len(subsample), kernel.bandwidth_sigma)
         if bound is not None:
-            u = rng.uniform()
+            u = rng.random()
             if u > 0.0 and math.log(u) >= log_target_ratio + bound - log_q_forward:
                 return LocalStep(proposal, proposal_density, value.outcome, False, current_factored)
         proposal_factored = factor_covariance(covariance_at(proposal, subsample, kernel, config))
@@ -255,7 +255,7 @@ def kameleon_step(
         proposal_factored = None
         alpha = symmetric_acceptance(proposal_density, current_density)
 
-    accepted = bool((rng.uniform() if u is None else u) < alpha)
+    accepted = bool((rng.random() if u is None else u) < alpha)
     factored = proposal_factored if accepted else current_factored
     return LocalStep(proposal, proposal_density, value.outcome, accepted, factored)
 
@@ -330,7 +330,7 @@ def _run_chain(
         ):
             subsample = subsample_history(pool[: seeded + t], kameleon.subsample_size, rng)
             kernel = factored = None
-        if darting is not None and rng.uniform() >= darting.p_check and regions:
+        if darting is not None and rng.random() >= darting.p_check and regions:
             jump = darting_step(
                 current, density, regions, target, darting, rng,
                 postprocess=postprocess, containing=containing, cumulative=cumulative,

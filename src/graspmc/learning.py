@@ -11,6 +11,7 @@ built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -18,14 +19,14 @@ import numpy as np
 
 from . import quaternions as quat
 from .darting import DartingConfig, JumpRegion, build_jump_region, symmetric_acceptance
-from .errors import InvalidDemonstration
-from .grasping import Grasp, canonicalize_grasp_vector, make_target, workspace_bounds
+from .errors import InvalidConfig, InvalidDemonstration
+from .grasping import Grasp, _outcomes, canonicalize_grasp_vector, make_target, workspace_bounds
 from .gripper import GripperModel
 from .history import ChainHistory, rows
 from .kameleon import KameleonConfig, LocalStep, _run_chain
 from .objects import ObjectModel
 from .targets import TargetFn
-from .vmf import VonMisesFisher, sample_vmf
+from .vmf import VonMisesFisher, draw_vmf, orient_vmf
 
 class Tally(NamedTuple):
     success: int
@@ -84,6 +85,9 @@ def tally_outcomes(model: "LearnedModel | ChainHistory") -> Tally:
     return Tally(*np.bincount(codes[codes >= 0], minlength=len(Tally._fields)).tolist())
 
 
+SKETCH_PREFETCH = 64  # most walk iterations proposed and evaluated together
+
+
 def build_rough_sketch(
     obj: ObjectModel,
     gripper: GripperModel,
@@ -101,18 +105,58 @@ def build_rough_sketch(
     the chain, are the sketch. The walk is recorded in `history` (a fresh
     proposal-sourced one unless given, as the random-walk baseline
     experiment does to tally it), and the sketch's proposals are that
-    history's proposal rows.
+    history's proposal rows. Raises InvalidConfig on a negative or
+    non-finite `position_sigma` or `kappa` before drawing anything.
+
+    The walk prefetches its rejection branch (Brockwell, J. Comput. Graph.
+    Stat. 2006). An iteration draws a Gaussian step, a vMF draw and one
+    uniform, in that order, whatever the target says, and while proposals
+    are rejected the state stays. So the walk draws the next iterations of
+    the all-reject path, evaluates their proposals in one `_outcomes` call
+    and decides them in order. At an acceptance before the end of such a
+    batch it resets the generator to the batch's start, makes the draws up
+    to the accepted iteration's again and drops the rest of the batch. A
+    batch is as long as the current run of rejections (at least 1), at
+    most SKETCH_PREFETCH and the iterations left, so a walk that accepts
+    often evaluates one proposal at a time. Each proposal, decision and
+    the generator state are those of the walk that evaluates one
+    proposal per iteration.
     """
+    for name, value in (("position_sigma", position_sigma), ("kappa", kappa)):
+        if not 0.0 <= value < math.inf:
+            raise InvalidConfig(f"{name} must be finite and nonnegative, not {value!r}")
     target = make_target(obj, gripper)
+    pending: list[LocalStep] = []  # decided steps of the batch not yet handed out
+    rejections, left = 0, iterations
+
+    def draws() -> tuple[np.ndarray, np.ndarray, float]:
+        return rng.standard_normal(3), draw_vmf(kappa, 4, rng), rng.random()
 
     def walk(current: np.ndarray, density: float) -> LocalStep:
-        position = current[:3] + position_sigma * rng.standard_normal(3)
-        orientation = sample_vmf(VonMisesFisher(current[3:], kappa), rng)
-        proposal = canonicalize_grasp_vector(np.concatenate([position, orientation]))
-        value = target(proposal)
-        p_density = float(value.density)
-        accepted = bool(rng.uniform() < symmetric_acceptance(p_density, density))
-        return LocalStep(proposal, p_density, value.outcome, accepted)
+        nonlocal rejections, left
+        if not pending:
+            size = min(max(rejections, 1), SKETCH_PREFETCH, left)
+            batch_start = rng.bit_generator.state if size > 1 else None
+            batch = [draws() for _ in range(size)]
+            mean = VonMisesFisher(current[3:], kappa)
+            proposals = np.empty((size, current.size))
+            for proposal, (step, drawn, _) in zip(proposals, batch):
+                proposal[:3] = current[:3] + position_sigma * step
+                proposal[3:] = quat.canonicalize(orient_vmf(mean, drawn))
+            outcomes = _outcomes(proposals[:, :3], proposals[:, 3:], obj, gripper)
+            for i, (proposal, outcome, (_, _, u)) in enumerate(zip(proposals, outcomes, batch)):
+                accepted = u < symmetric_acceptance(outcome.quality, density)
+                pending.append(LocalStep(proposal, outcome.quality, outcome.kind, accepted))
+                if accepted:
+                    if i + 1 < size:
+                        rng.bit_generator.state = batch_start
+                        for _ in range(i + 1):
+                            draws()
+                    break
+        step = pending.pop(0)
+        rejections = 0 if step.accepted else rejections + 1
+        left -= 1
+        return step
 
     current = start.to_vector()
     value = target(current)

@@ -68,16 +68,24 @@ def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+def _rotation_rows(w: float, x: float, y: float, z: float) -> list[list[float]]:
+    return [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ]
+
+
 def rotation_matrix(q: np.ndarray) -> np.ndarray:
     """3x3 rotation matrix of a unit quaternion."""
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return np.array(_rotation_rows(*q))
+
+
+def rotation_matrices(qs: np.ndarray) -> np.ndarray:
+    """(K, 3, 3) rotation matrices of the rows of a (K, 4) float array of
+    unit quaternions, each rotation_matrix's bit for bit: the same products
+    and sums, in Python floats."""
+    return np.array([_rotation_rows(*q) for q in qs.tolist()]).reshape(-1, 3, 3)
 
 
 def from_rotation_matrix(m: np.ndarray) -> np.ndarray:

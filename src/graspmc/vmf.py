@@ -48,11 +48,12 @@ class VonMisesFisher:
 
 @lru_cache(maxsize=16)
 def _wood_constants(kappa: float, m: int) -> tuple[float, float, float]:
-    # Wood's b, x0 and c; the b expression is the numerically stable form.
-    b = m / (2.0 * kappa + np.sqrt(4.0 * kappa * kappa + m * m))
+    # Wood's b, x0 and c, as Python floats; the b expression is the
+    # numerically stable form. math.sqrt rounds correctly, as np.sqrt does.
+    b = m / (2.0 * kappa + math.sqrt(4.0 * kappa * kappa + m * m))
     x0 = (1.0 - b) / (1.0 + b)
     c = kappa * x0 + m * np.log(1.0 - x0 * x0)
-    return b, x0, c
+    return float(b), float(x0), float(c)
 
 
 def _radial_component(kappa: float, p: int, rng: np.random.Generator) -> float:
@@ -62,9 +63,9 @@ def _radial_component(kappa: float, p: int, rng: np.random.Generator) -> float:
     while True:
         z = rng.beta(0.5 * m, 0.5 * m)
         w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
-        u = rng.uniform()
+        u = rng.random()
         if kappa * w + m * np.log(1.0 - x0 * w) - c >= np.log(u):
-            return float(w)
+            return w
 
 
 def draw_vmf(kappa: float, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -89,9 +90,9 @@ def draw_vmf(kappa: float, dim: int, rng: np.random.Generator) -> np.ndarray:
         tangent = rng.standard_normal(dim - 1)
         norm = math.sqrt(float(tangent.dot(tangent)))
         if norm > 1e-12:
-            tangent /= norm
             break
-    return np.concatenate(([w], np.sqrt(max(0.0, 1.0 - w * w)) * tangent))
+    scale = math.sqrt(max(0.0, 1.0 - w * w))
+    return np.array([w, *(scale * (t / norm) for t in tangent.tolist())])
 
 
 def orient_vmf(dist: VonMisesFisher, drawn: np.ndarray) -> np.ndarray:

@@ -279,9 +279,9 @@ class ProbedRng:
     def integers(self, *args):
         return self.rng.integers(*args)
 
-    def uniform(self):
+    def random(self):
         self.uniforms += 1
-        return self.rng.uniform() if self.uniforms == 1 else self
+        return self.rng.random() if self.uniforms == 1 else self
 
     def __lt__(self, alpha):
         self.alpha = alpha

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from graspmc import experiments, learning
+from graspmc import cli, experiments, learning
 from graspmc import quaternions as quat
 from graspmc.cli import main as cli_main
 from graspmc.errors import (
@@ -777,6 +777,23 @@ class TestCli:
         assert caught.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"usage: graspmc {verb}") and message in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--position-sigma", "--kappa"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-0.1"])
+    def test_bad_walk_setting_is_refused_before_the_search(
+        self, flag, bad, tmp_path, capsys, monkeypatch
+    ):
+        def no_search(*args):
+            raise AssertionError("the sketch verb searched for demonstrations")
+
+        monkeypatch.setattr(cli, "demonstrate_grasps", no_search)
+        with pytest.raises(SystemExit) as caught:
+            cli_main(["sketch", "--object", "plate", "--seed", "0", f"{flag}={bad}",
+                      "--out", str(tmp_path / "sketch.json")])
+        assert caught.value.code == 2
+        message = f"argument {flag}: expected a finite number >= 0, not {bad}"
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_library_error_is_reported_as_a_usage_error(self, tmp_path, capsys):

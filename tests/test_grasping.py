@@ -21,8 +21,10 @@ from graspmc.grasping import (
     FRICTION_COEFFICIENT,
     MISS,
     OUTCOME_KINDS,
+    PERTURBATION_KAPPA,
     QUALITY_THRESHOLD,
     REACH_SLACK,
+    RESTART_EVERY,
     SLIPPED,
     SUCCESS,
     TARGET_MEMO_SIZE,
@@ -34,6 +36,7 @@ from graspmc.grasping import (
     evaluate_grasp,
     make_target,
     sample_surface_point,
+    _climb,
     _cross,
     _grips,
     _heuristic_orientation,
@@ -46,7 +49,7 @@ from graspmc.grasping import (
 from graspmc.gripper import GripperModel, default_gripper, probe_points
 from graspmc.objects import ObjectModel, get_object, object_catalog
 from graspmc.targets import TargetValue
-from graspmc.vmf import VonMisesFisher, sample_vmf
+from graspmc.vmf import VonMisesFisher, draw_vmf, sample_vmf
 
 GRIPPER = default_gripper()
 
@@ -576,6 +579,122 @@ def test_outcomes_of_k_orientations_equal_k_evaluations(case, k, seed, config):
     assert qualities[0] == qualities[1]
 
 
+def mixed_batch(obj, rng, count):
+    """`count` poses on `obj` at mixed positions, as (K, 3) positions and
+    (K, 4) canonical quaternions: grips on the material behind a surface
+    point (successes, slips, and misses of jaws that close on nothing),
+    any orientation up to 0.12 m from the bounds box (collisions and both
+    reach verdicts), positions up to a metre outside the default workspace
+    box (culled), and poses at an earlier pose's position."""
+    positions, orientations = [], []
+    for _ in range(count):
+        kind = rng.choice(["grip", "grip", "zone", "far", "again"])
+        if kind == "grip":
+            point, normal = surface_frame(obj, rng.random(3), 0.0)
+            thickness = _material_thickness(obj, point, normal, GRIPPER.jaw_span)
+            fits = thickness is not None and thickness < GRIPPER.jaw_span
+            depth = -0.5 * thickness if fits else 1e-3
+            positions.append(point + (depth + rng.uniform(-0.01, 0.01)) * normal)
+            closing = unit_vector(normal + rng.uniform(0.0, 0.5) * rng.uniform(-1.0, 1.0, 3))
+            inward = obj.bounds_center() - point
+            inward = unit_vector(inward - closing * float(inward @ closing))
+            roll = rng.uniform(-np.pi, np.pi) * rng.choice([0.1, 1.0])
+            approach = np.cos(roll) * inward + np.sin(roll) * np.cross(closing, inward)
+            approach = unit_vector(approach - closing * float(approach @ closing))
+            frame = np.column_stack([closing, np.cross(approach, closing), approach])
+            orientations.append(quat.from_rotation_matrix(frame))
+            continue
+        if kind == "zone":
+            inside = obj.bounds_lo + rng.random(3) * (obj.bounds_hi - obj.bounds_lo)
+            positions.append(inside + rng.uniform(0.0, 0.12) * unit_vector(rng.normal(size=3)))
+        elif kind == "far":
+            lo, hi = workspace_bounds(obj, GRIPPER)
+            position, axis = lo + rng.random(3) * (hi - lo), rng.integers(3)
+            beyond = rng.uniform(1e-3, 1.0)
+            position[axis] = hi[axis] + beyond if rng.random() < 0.5 else lo[axis] - beyond
+            positions.append(position)
+        else:
+            positions.append(positions[rng.integers(len(positions))] if positions else obj.bounds_lo)
+        orientations.append(quat.random_uniform(rng))
+    return np.array(positions), np.array(orientations)
+
+
+def miss_paths(obj, positions):
+    """Which miss path each position takes: "culled" outside the workspace
+    box, "beyond reach" past the reach test, else None."""
+    lo, hi = grasping.workspace_bounds(obj, GRIPPER)
+    paths = []
+    for position in positions:
+        outside = np.maximum(np.maximum(obj.bounds_lo - position, position - obj.bounds_hi), 0.0)
+        if np.any(position < lo) or np.any(position > hi):
+            paths.append("culled")
+        elif float(np.linalg.norm(outside)) - REACH_SLACK > _reach(GRIPPER):
+            paths.append("beyond reach")
+        else:
+            paths.append(None)
+    return paths
+
+
+def assert_outcomes_equal(together, alone):
+    assert [o.kind for o in together] == [o.kind for o in alone]
+    qualities = [np.array([o.quality for o in outcomes]).tobytes() for outcomes in (together, alone)]
+    assert qualities[0] == qualities[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shapes,
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([DEFAULT_EVALUATION, TIGHT]),
+)
+def test_outcomes_of_k_poses_equal_k_evaluations(obj, k, seed, config):
+    """The cascade on K poses at K positions gives each pose the outcome
+    evaluate_grasp gives it alone, quality bytes included, on every catalog
+    object and its moved copy."""
+    positions, orientations = mixed_batch(obj, np.random.default_rng(seed), k)
+    with search_settings(config):
+        together = _outcomes(positions, orientations, obj, GRIPPER)
+        alone = [evaluate_grasp(Grasp(p, q), obj, GRIPPER) for p, q in zip(positions, orientations)]
+        paths = miss_paths(obj, positions)
+    for outcome, path in zip(together, paths):
+        event(path or outcome.kind)
+    assert_outcomes_equal(together, alone)
+
+
+def test_a_mixed_batch_has_every_outcome_and_both_miss_paths():
+    """One batch of 64 poses on the moved plate holds every outcome kind,
+    culled poses and poses beyond reach, and a non-finite position is a
+    Miss that leaves the other poses' outcomes as they are."""
+    obj = MOVED[6]
+    positions, orientations = mixed_batch(obj, np.random.default_rng(3), 64)
+    together = _outcomes(positions, orientations, obj, GRIPPER)
+    alone = [evaluate_grasp(Grasp(p, q), obj, GRIPPER) for p, q in zip(positions, orientations)]
+    assert_outcomes_equal(together, alone)
+    assert {o.kind for o in together} == set(OUTCOME_KINDS)
+    assert {"culled", "beyond reach"} <= set(miss_paths(obj, positions))
+    broken = positions.copy()
+    broken[[5, 17, 40], [0, 1, 2]] = [np.nan, np.inf, -np.inf]
+    expected = [GraspOutcome(MISS, 0.0) if k in (5, 17, 40) else o for k, o in enumerate(together)]
+    assert_outcomes_equal(_outcomes(broken, orientations, obj, GRIPPER), expected)
+
+
+@pytest.mark.parametrize("obj", [CATALOG[0], MOVED[4], CATALOG[6]], ids=lambda o: o.name)
+def test_target_evaluates_a_state_as_its_grasp(obj):
+    """A target's memo miss goes from the state vector into the cascade,
+    with no Grasp built, and gets the value of the grasp
+    Grasp.from_vector makes of the state, also for a quaternion block of
+    either sign and any norm."""
+    rng = np.random.default_rng(11)
+    positions, orientations = mixed_batch(obj, rng, 40)
+    scales = rng.choice([-1.0, 1.0], size=(40, 1)) * rng.uniform(0.5, 2.0, size=(40, 1))
+    target = make_target(obj, GRIPPER)
+    for state in np.hstack([positions, scales * orientations]):
+        outcome = evaluate_grasp(Grasp.from_vector(state), obj, GRIPPER)
+        value = target(state)
+        assert value.outcome == outcome.kind
+        assert np.float64(value.density).tobytes() == np.float64(outcome.quality).tobytes()
+
 
 # --------------------------------------------------------------------------
 # the batched demonstration search against one evaluate_grasp call per trial
@@ -727,6 +846,47 @@ def test_colliding_restarts_draw_every_trial_and_grip_nothing(monkeypatch):
     assert evaluations == [[COLLISION] * restarts] * 3
 
 
+@pytest.mark.parametrize(
+    "script",
+    [
+        [0.0] * 25,  # every candidate misses, as the restart frame does
+        [0.3] * 25,  # every candidate ties the restart frame's quality
+        [0.2, 0.1, 0.5] + [0.5] * 22,  # the third trial improves, the later ones tie it
+    ],
+)
+def test_climb_keeps_the_incumbent_on_a_tie(script, monkeypatch):
+    """_climb on given qualities: trial t of a restart period scores
+    script[t], trial 0 being the restart frame. Only a strictly better
+    candidate replaces the incumbent and restarts the batch, so the climb
+    ends on the first candidate of the best quality."""
+    calls = []
+
+    def scripted(position, orientations, obj, gripper):
+        calls.append(np.array(orientations))
+        start = RESTART_EVERY - len(orientations)
+        return [
+            GraspOutcome(SUCCESS, q) if q > 0.0 else GraspOutcome(MISS, 0.0)
+            for q in script[start:RESTART_EVERY]
+        ]
+
+    monkeypatch.setattr(grasping, "_outcomes", scripted)
+    assert len(script) == RESTART_EVERY
+    rng = np.random.default_rng(8)
+    restart = quat.canonicalize(rng.normal(size=4))
+    draws = [None] + [draw_vmf(PERTURBATION_KAPPA, 4, rng) for _ in range(RESTART_EVERY - 1)]
+    best_q, best_quality = _climb(
+        get_object("plate"), GRIPPER, np.zeros(3), [restart], [script[0]], draws
+    )
+    first_best = script.index(max(script))
+    assert best_quality == script[first_best]
+    if first_best == 0:
+        assert best_q is restart
+        assert len(calls) == 1
+    else:
+        assert best_q.tobytes() == calls[0][first_best - 1].tobytes()
+        assert len(calls) == 2
+
+
 @pytest.mark.parametrize("bad", [{"count": 0}])
 def test_search_arguments_are_checked_before_any_draw(bad):
     rng = np.random.default_rng(0)
@@ -742,15 +902,15 @@ def test_search_arguments_are_checked_before_any_draw(bad):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """The states evaluate_grasp is called on, as 7-vectors."""
+    """The orientations of the poses the cascade evaluates, one per pose."""
     calls = []
-    evaluate = grasping.evaluate_grasp
+    outcomes = grasping._outcomes
 
-    def counted(grasp, *args, **kwargs):
-        calls.append(grasp.to_vector())
-        return evaluate(grasp, *args, **kwargs)
+    def counted(positions, orientations, *args):
+        calls.extend(orientations)
+        return outcomes(positions, orientations, *args)
 
-    monkeypatch.setattr(grasping, "evaluate_grasp", counted)
+    monkeypatch.setattr(grasping, "_outcomes", counted)
     return calls
 
 

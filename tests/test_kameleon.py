@@ -613,7 +613,7 @@ class FixedUniform:
     def standard_normal(self, size):
         return self.rng.standard_normal(size)
 
-    def uniform(self):
+    def random(self):
         return self.u
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -7,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graspmc import learning
-from graspmc.darting import DartingConfig, build_jump_region
-from graspmc.errors import GraspMCError, InvalidDemonstration
-from graspmc.grasping import OUTCOME_KINDS, Grasp, demonstrate_grasps, make_target
+from graspmc import quaternions as quat
+from graspmc.darting import DartingConfig, build_jump_region, symmetric_acceptance
+from graspmc.errors import GraspMCError, InvalidConfig, InvalidDemonstration
+from graspmc.grasping import (
+    OUTCOME_KINDS, Grasp, canonicalize_grasp_vector, demonstrate_grasps, make_target,
+)
 from graspmc.gripper import default_gripper
 from graspmc.history import MOVE_DTYPE, MOVES, OUTCOME_CODES, ChainHistory, rows
-from graspmc.kameleon import KameleonConfig
+from graspmc.kameleon import KameleonConfig, LocalStep, _run_chain
 from graspmc.learning import (
     LearnedModel,
     RoughSketch,
@@ -33,6 +37,7 @@ from graspmc.serialization import (
     sketch_to_document,
 )
 from graspmc.targets import gaussian_mixture_target
+from graspmc.vmf import VonMisesFisher, sample_vmf
 
 GRIPPER = default_gripper()
 KAMELEON = KameleonConfig(gamma=1e-4, nu=2.38 / np.sqrt(6), subsample_size=100, burn_in=100)
@@ -93,6 +98,95 @@ class TestRoughSketch:
         for proposal in sketch.proposals[:20]:
             assert abs(np.linalg.norm(proposal[3:]) - 1.0) < 1e-9
             assert proposal[3] >= 0.0
+
+    @pytest.mark.parametrize("setting", ["position_sigma", "kappa"])
+    @pytest.mark.parametrize("bad", [-0.1, -np.inf, np.inf, np.nan])
+    def test_bad_walk_setting_is_refused_before_any_draw(self, setting, bad):
+        walk = {"position_sigma": 0.1, "kappa": 50.0, setting: bad}
+        start = Grasp(np.array([0.085, 0.0, 0.02]), np.array([1.0, 0.0, 0.0, 0.0]))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(InvalidConfig, match=setting):
+            build_rough_sketch(
+                get_object("plate"), GRIPPER, 10, start, walk["position_sigma"], walk["kappa"], rng
+            )
+        assert rng.bit_generator.state == before
+
+
+# --------------------------------------------------------------------------
+# the prefetched walk against the walk that evaluates one proposal at a time
+
+
+def one_step_sketch(obj, start, iterations, position_sigma, kappa, rng):
+    """build_rough_sketch's walk without its prefetch: each iteration draws
+    its proposal, evaluates it through the target and decides it before the
+    next one draws."""
+    target = make_target(obj, GRIPPER)
+
+    def walk(current, density):
+        position = current[:3] + position_sigma * rng.standard_normal(3)
+        orientation = sample_vmf(VonMisesFisher(current[3:], kappa), rng)
+        proposal = canonicalize_grasp_vector(np.concatenate([position, orientation]))
+        value = target(proposal)
+        p_density = float(value.density)
+        accepted = bool(rng.uniform() < symmetric_acceptance(p_density, density))
+        return LocalStep(proposal, p_density, value.outcome, accepted)
+
+    current = start.to_vector()
+    history = ChainHistory(proposal_sourced=True)
+    return _run_chain(target, current, target(current), iterations, history, rng, walk=walk)
+
+
+MOVED_PLATE = get_object("plate").transformed(
+    quat.from_axis_angle([1.0, 2.0, 3.0], 0.7), [0.1, -0.2, 0.3]
+)
+HISTORY_COLUMNS = [
+    f.name for f in dataclasses.fields(ChainHistory) if f.name != "proposal_sourced"
+]
+
+
+@functools.lru_cache(maxsize=None)
+def walk_start(name):
+    obj = MOVED_PLATE if name == "moved plate" else get_object(name)
+    return obj, demonstrate_grasps(obj, GRIPPER, 1, np.random.default_rng((len(name), 5)))[0][0]
+
+
+@pytest.mark.parametrize("name", ["pitcher", "pan", "plate", "moved plate"])
+@pytest.mark.parametrize(
+    "position_sigma, kappa, iterations, seed",
+    [(0.10, 50.0, 1100, 2), (0.10, 50.0, 1100, 7), (0.002, 2000.0, 301, 2)],
+)
+def test_prefetched_walk_is_the_one_step_walk(
+    name, position_sigma, kappa, iterations, seed, monkeypatch
+):
+    """Every history column and the generator state after the walk, at the
+    published settings and at a setting that accepts most proposals. The
+    walk cuts short at least one batch at an acceptance, so its batches
+    cover more proposals than it keeps, and it evaluates fewer batches
+    than iterations."""
+    assert iterations % learning.SKETCH_PREFETCH  # the last batch is cut by the iterations left
+    obj, start = walk_start(name)
+    batches = []
+    outcomes = learning._outcomes
+
+    def counted(positions, orientations, *args):
+        batches.append(len(orientations))
+        return outcomes(positions, orientations, *args)
+
+    monkeypatch.setattr(learning, "_outcomes", counted)
+    rng = np.random.default_rng(seed)
+    ours = ChainHistory(proposal_sourced=True)
+    build_rough_sketch(obj, GRIPPER, iterations, start, position_sigma, kappa, rng, history=ours)
+    rng_ref = np.random.default_rng(seed)
+    theirs = one_step_sketch(obj, start, iterations, position_sigma, kappa, rng_ref)
+    for column in HISTORY_COLUMNS:
+        ours_column, their_column = getattr(ours, column), getattr(theirs, column)
+        assert ours_column.dtype == their_column.dtype, column
+        assert ours_column.shape == their_column.shape, column
+        assert ours_column.tobytes() == their_column.tobytes(), column
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert ours.accepted.any()
+    assert sum(batches) > iterations > len(batches)
 
 
 class TestActiveLearn:

@@ -110,6 +110,16 @@ def test_rotation_matrix_is_orthogonal():
         assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_rotation_matrices_are_rotation_matrix_bit_for_bit(count):
+    """The batched form in Python floats builds each matrix as the
+    one-quaternion form does in numpy scalars, also for unnormalized rows."""
+    rng = np.random.default_rng(count)
+    qs = np.array([quat.random_uniform(rng) * rng.uniform(0.5, 2.0) for _ in range(count)])
+    stacked = np.array([quat.rotation_matrix(q) for q in qs]).reshape(-1, 3, 3)
+    assert quat.rotation_matrices(qs.reshape(-1, 4)).tobytes() == stacked.tobytes()
+
+
 def test_matrix_round_trip():
     rng = np.random.default_rng(3)
     for _ in range(100):
