@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NoRegions
+from .errors import InvalidConfig, NoRegions
 from .linalg import svd_symmetric
 from .targets import TargetFn
 
@@ -38,9 +38,9 @@ class DartingConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_check <= 1.0:
-            raise ValueError("p_check must lie in [0, 1]")
+            raise InvalidConfig("p_check must lie in [0, 1]")
         if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, not {self.epsilon!r}")
+            raise InvalidConfig(f"epsilon must be positive and finite, not {self.epsilon!r}")
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ class MissingSourceModel(GraspMCError):
 
 
 class InvalidConfig(GraspMCError, ValueError):
-    """An experiment config field has the wrong type or lies out of range."""
+    """A sampler, gripper or experiment setting has the wrong type or lies out of range."""
 
 
 class InvalidDocument(GraspMCError, ValueError):

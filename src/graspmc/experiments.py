@@ -109,10 +109,7 @@ class ExperimentConfig:
         for name, low in _FIELD_MINIMA.items():
             if getattr(self, name) < low:
                 raise InvalidConfig(f"{name} must be at least {low}, not {getattr(self, name)!r}")
-        try:
-            self.kameleon(), self.darting()
-        except ValueError as exc:
-            raise InvalidConfig(str(exc)) from exc
+        self.kameleon(), self.darting()
 
     def kameleon(self) -> KameleonConfig:
         return KameleonConfig(
@@ -257,7 +254,8 @@ def run_experiment(
     that learn, the LearnedModel artifact.
 
     Transfer presets need a source model: either passed in directly or
-    loaded from config.source_model; otherwise MissingSourceModel.
+    loaded from config.source_model; otherwise MissingSourceModel. A source
+    whose chain holds no state raises EmptyHistory before any search.
     """
     gripper = gripper or default_gripper()
     obj = get_object(config.object_name)
@@ -265,11 +263,13 @@ def run_experiment(
     started = time.perf_counter()
     total = config.burn_in + config.iterations
     model: LearnedModel | None = None
-    if config.experiment in TRANSFER_EXPERIMENTS and source is None:
-        if not config.source_model:
-            raise MissingSourceModel(f"{config.experiment} requires a source model")
-        with open(config.source_model, "r", encoding="utf-8") as fh:
-            source = model_from_document(fh.read())
+    if config.experiment in TRANSFER_EXPERIMENTS:
+        if source is None:
+            if not config.source_model:
+                raise MissingSourceModel(f"{config.experiment} requires a source model")
+            with open(config.source_model, "r", encoding="utf-8") as fh:
+                source = model_from_document(fh.read())
+        source.chain_states()  # an empty chain is refused before any search
     if config.experiment != TRANSFER_SIMILAR_MODES:
         demos = list(
             _demonstrations(config.object_name, config.seed, config.demonstration_count, gripper)

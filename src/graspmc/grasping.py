@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import quaternions as quat
-from .errors import DemonstrationFailure
+from .errors import DemonstrationFailure, InvalidConfig
 from .gripper import APPROACH_AXIS, CLOSING_AXIS, GripperModel, probe_points
 from .objects import ObjectModel
 from .targets import TargetFn, TargetValue
@@ -271,12 +271,13 @@ def _outcomes(
     COARSE_STRIDE-th point of every pose, then the other points of the
     poses not yet found penetrating; each form is the faster one on its own
     side (measured in README, "SDF call budget per evaluation"). The
-    half-span test follows, then `_grips` on the poses that do not collide.
-    A point's distance does not depend on the batch it is evaluated in, the
-    batched product builds each pose's probes bit for bit, and a pose whose
-    coarse probes are all at or above -COLLISION_TOLERANCE collides exactly
-    when one of its other probes is below, so each outcome is the one the
-    pose gets alone.
+    half-span test follows. Stages 3-5 then take the poses that neither
+    collide nor fail it: one march call, at most one bisection call and
+    one normal call for all of them. A point's distance does not depend on
+    the batch it is evaluated in, the batched product builds each pose's
+    probes bit for bit, and a pose whose coarse probes are all at or above
+    -COLLISION_TOLERANCE collides exactly when one of its other probes is
+    below, so each outcome is the one the pose gets alone.
     """
     orientations = np.asarray(orientations, dtype=float)
     positions = np.asarray(positions, dtype=float)
@@ -312,12 +313,37 @@ def _outcomes(
             outcomes[k] = _COLLISION
         elif clearances[k] <= half_span:
             grip.append(i)
-    if grip:
-        if len(grip) < len(live):
-            rotations = rotations[grip]
-            points = points if shared else points[grip]
-        for i, outcome in zip(grip, _grips(points, rotations, obj, gripper)):
-            outcomes[live[i]] = outcome
+    if not grip:
+        return outcomes
+    if len(grip) < len(live):
+        rotations = rotations[grip]
+        points = points if shared else points[grip]
+    gripped = [live[i] for i in grip]
+    closings = rotations @ CLOSING_AXIS
+    sides = np.array([[1.0], [-1.0]])
+    pairs, contacts = _jaw_contacts(
+        obj,
+        points[..., None, :] + sides * half_span * closings[:, None, :],
+        -sides * closings[:, None, :],
+        gripper.jaw_span,
+        CONTACT_TOLERANCE,
+    )
+    if not pairs.size:
+        return outcomes
+    normals = obj.normal(contacts.reshape(-1, 3)).reshape(-1, 2, 3)
+    cos_friction = 1.0 / np.sqrt(1.0 + FRICTION_COEFFICIENT**2)
+    for j, (n1, n2) in zip(pairs.tolist(), normals):
+        closing = closings[j]
+        antipodality = max(0.0, -float(n1 @ n2))
+        margins = [
+            max(0.0, abs(float(n @ closing)) - cos_friction) / (1.0 - cos_friction)
+            for n in (n1, n2)
+        ]
+        quality = antipodality * min(margins)
+        outcomes[gripped[j]] = (
+            GraspOutcome(SLIPPED, 0.0) if quality <= QUALITY_THRESHOLD
+            else GraspOutcome(SUCCESS, float(quality))
+        )
     return outcomes
 
 
@@ -333,45 +359,6 @@ def _clearance(position: list[float], box: list[tuple[float, float, float, float
         gap = max(object_lo - p, p - object_hi, 0.0)
         squared += gap * gap
     return math.sqrt(squared) - REACH_SLACK
-
-
-def _grips(
-    positions: np.ndarray, rotations: np.ndarray, obj: ObjectModel, gripper: GripperModel
-) -> list[GraspOutcome]:
-    """Stages 3-5 of the cascade for the K poses at the (K, 3) `positions`
-    (or one (3,) position of all K) with the (K, 3, 3) `rotations`, whose
-    bodies do not collide: one march call, at most one bisection call and
-    one normal call for all K. A point's distance does not depend on the
-    batch it is evaluated in, so each outcome is the one the pose gets
-    alone."""
-    closings = rotations @ CLOSING_AXIS
-    half_span = 0.5 * gripper.jaw_span
-    sides = np.array([[1.0], [-1.0]])
-    pairs, contacts = _jaw_contacts(
-        obj,
-        positions[..., None, :] + sides * half_span * closings[:, None, :],
-        -sides * closings[:, None, :],
-        gripper.jaw_span,
-        CONTACT_TOLERANCE,
-    )
-    outcomes = [_MISS] * len(rotations)
-    if not pairs.size:
-        return outcomes
-    normals = obj.normal(contacts.reshape(-1, 3)).reshape(-1, 2, 3)
-    cos_friction = 1.0 / np.sqrt(1.0 + FRICTION_COEFFICIENT**2)
-    for k, (n1, n2) in zip(pairs.tolist(), normals):
-        closing = closings[k]
-        antipodality = max(0.0, -float(n1 @ n2))
-        margins = [
-            max(0.0, abs(float(n @ closing)) - cos_friction) / (1.0 - cos_friction)
-            for n in (n1, n2)
-        ]
-        quality = antipodality * min(margins)
-        outcomes[k] = (
-            GraspOutcome(SLIPPED, 0.0) if quality <= QUALITY_THRESHOLD
-            else GraspOutcome(SUCCESS, float(quality))
-        )
-    return outcomes
 
 
 TARGET_MEMO_SIZE = 256  # most recent states whose values a target remembers
@@ -525,7 +512,7 @@ def demonstrate_grasps(
     concentration PERTURBATION_KAPPA around the incumbent in between.
     Attempts whose best outcome is not a Success are discarded. Raises
     DemonstrationFailure when DEMONSTRATION_ATTEMPTS run out first, and
-    ValueError on a count below 1 before drawing anything.
+    InvalidConfig on a count below 1 before drawing anything.
 
     An attempt makes every trial's random draws first, in trial order (a
     restart's roll, a perturbation's `draw_vmf`), since none depends on an
@@ -538,7 +525,7 @@ def demonstrate_grasps(
     of evaluating each trial in turn with evaluate_grasp.
     """
     if count < 1:
-        raise ValueError("count must be at least 1")
+        raise InvalidConfig("count must be at least 1")
     found: list[tuple[Grasp, float]] = []
     attempts = 0
     while len(found) < count:

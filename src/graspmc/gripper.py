@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import InvalidConfig
+
 CLOSING_AXIS = np.array([1.0, 0.0, 0.0])
 APPROACH_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -30,7 +32,7 @@ class GripperModel:
         for name in ("jaw_span", "finger_length", "finger_width", "palm_depth"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, not {value!r}")
+                raise InvalidConfig(f"{name} must be positive and finite, not {value!r}")
 
     def body_boxes(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(center, half_extents) of palm and both fingers, gripper frame."""

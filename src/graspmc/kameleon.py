@@ -45,7 +45,7 @@ import numpy as np
 from .darting import (
     DartingConfig, JumpRegion, cumulative_volumes, darting_step, symmetric_acceptance,
 )
-from .errors import EmptyHistory
+from .errors import EmptyHistory, InvalidConfig
 from .history import MOVE_DTYPE, OUTCOME_CODES, ChainHistory
 from .kernels import GaussianKernel, median_bandwidth
 from .linalg import LOG_2PI, Factored, draw_gaussian, factor_covariance, factored_logpdf
@@ -61,13 +61,13 @@ class KameleonConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, not {self.gamma!r}")
+            raise InvalidConfig(f"gamma must be positive and finite, not {self.gamma!r}")
         if not 0.0 <= self.nu < math.inf:
-            raise ValueError(f"nu must be nonnegative and finite, not {self.nu!r}")
+            raise InvalidConfig(f"nu must be nonnegative and finite, not {self.nu!r}")
         if self.subsample_size < 1:
-            raise ValueError("subsample size must be a positive integer")
+            raise InvalidConfig("subsample size must be a positive integer")
         if self.burn_in < 0:
-            raise ValueError("burn-in must be nonnegative")
+            raise InvalidConfig("burn-in must be nonnegative")
 
 
 class LocalStep(NamedTuple):

@@ -12,6 +12,7 @@ built.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import quaternions as quat
 from .darting import DartingConfig, JumpRegion, build_jump_region, symmetric_acceptance
-from .errors import InvalidConfig, InvalidDemonstration
+from .errors import EmptyHistory, InvalidConfig, InvalidDemonstration
 from .grasping import Grasp, _outcomes, canonicalize_grasp_vector, make_target, workspace_bounds
 from .gripper import GripperModel
 from .history import ChainHistory, rows
@@ -78,6 +79,14 @@ class LearnedModel:
             return [0.0] * len(self.modes)
         return list(self.mode_densities)
 
+    def chain_states(self) -> np.ndarray:
+        """The chain's seed states, then its step states; EmptyHistory when
+        there are none, so a transfer from it can be refused up front."""
+        states = rows([*self.chain.seed_states, *self.chain.states])
+        if not len(states):
+            raise EmptyHistory(f"the {self.object_name} source model has an empty chain")
+        return states
+
 
 def tally_outcomes(model: "LearnedModel | ChainHistory") -> Tally:
     """Outcome counts over every evaluated proposal, burn-in included."""
@@ -110,53 +119,49 @@ def build_rough_sketch(
 
     The walk prefetches its rejection branch (Brockwell, J. Comput. Graph.
     Stat. 2006). An iteration draws a Gaussian step, a vMF draw and one
-    uniform, in that order, whatever the target says, and while proposals
-    are rejected the state stays. So the walk draws the next iterations of
-    the all-reject path, evaluates their proposals in one `_outcomes` call
-    and decides them in order. At an acceptance before the end of such a
-    batch it resets the generator to the batch's start, makes the draws up
-    to the accepted iteration's again and drops the rest of the batch. A
-    batch is as long as the current run of rejections (at least 1), at
-    most SKETCH_PREFETCH and the iterations left, so a walk that accepts
-    often evaluates one proposal at a time. Each proposal, decision and
-    the generator state are those of the walk that evaluates one
-    proposal per iteration.
+    uniform, in that order, whatever the target says, so the walk keeps the
+    draws of its next iterations in a buffer, made once and in stream
+    order. While proposals are rejected the state stays, so from the
+    current state it builds the proposals of the next iterations along the
+    all-reject path, evaluates them in one `_outcomes` call and decides one
+    per call of `walk`. An acceptance drops the proposals not yet decided
+    but keeps their draws for the iterations they belong to. A batch is as
+    long as the current run of rejections (at least 1), at most
+    SKETCH_PREFETCH and the iterations left, so a walk that accepts often
+    evaluates one proposal at a time and no draw is made past the last
+    iteration. Each proposal, decision and the generator state are those
+    of the walk that evaluates one proposal per iteration.
     """
     for name, value in (("position_sigma", position_sigma), ("kappa", kappa)):
         if not 0.0 <= value < math.inf:
             raise InvalidConfig(f"{name} must be finite and nonnegative, not {value!r}")
     target = make_target(obj, gripper)
-    pending: list[LocalStep] = []  # decided steps of the batch not yet handed out
+    drawn: deque = deque()  # the draws of the next iterations, in stream order
+    pending: deque = deque()  # the evaluated proposals of the first of them
     rejections, left = 0, iterations
-
-    def draws() -> tuple[np.ndarray, np.ndarray, float]:
-        return rng.standard_normal(3), draw_vmf(kappa, 4, rng), rng.random()
 
     def walk(current: np.ndarray, density: float) -> LocalStep:
         nonlocal rejections, left
         if not pending:
             size = min(max(rejections, 1), SKETCH_PREFETCH, left)
-            batch_start = rng.bit_generator.state if size > 1 else None
-            batch = [draws() for _ in range(size)]
+            drawn.extend(
+                (rng.standard_normal(3), draw_vmf(kappa, 4, rng), rng.random())
+                for _ in range(size - len(drawn))
+            )
             mean = VonMisesFisher(current[3:], kappa)
             proposals = np.empty((size, current.size))
-            for proposal, (step, drawn, _) in zip(proposals, batch):
+            for proposal, (step, vmf_draw, _) in zip(proposals, drawn):
                 proposal[:3] = current[:3] + position_sigma * step
-                proposal[3:] = quat.canonicalize(orient_vmf(mean, drawn))
+                proposal[3:] = quat.canonicalize(orient_vmf(mean, vmf_draw))
             outcomes = _outcomes(proposals[:, :3], proposals[:, 3:], obj, gripper)
-            for i, (proposal, outcome, (_, _, u)) in enumerate(zip(proposals, outcomes, batch)):
-                accepted = u < symmetric_acceptance(outcome.quality, density)
-                pending.append(LocalStep(proposal, outcome.quality, outcome.kind, accepted))
-                if accepted:
-                    if i + 1 < size:
-                        rng.bit_generator.state = batch_start
-                        for _ in range(i + 1):
-                            draws()
-                    break
-        step = pending.pop(0)
-        rejections = 0 if step.accepted else rejections + 1
+            pending.extend(zip(proposals, outcomes))
+        proposal, outcome = pending.popleft()
+        accepted = drawn.popleft()[2] < symmetric_acceptance(outcome.quality, density)
+        if accepted:
+            pending.clear()
+        rejections = 0 if accepted else rejections + 1
         left -= 1
-        return step
+        return LocalStep(proposal, outcome.quality, outcome.kind, accepted)
 
     current = start.to_vector()
     value = target(current)
@@ -296,16 +301,14 @@ def transfer_learn(
     using the source chain covariance. Modes with zero density on the novel
     object are retained as region centers, and the chain may start on one:
     the zero-density acceptance rule lets it recover, or the run completes
-    with no successes, both valid outcomes.
+    with no successes, both valid outcomes. A source chain with no state
+    raises EmptyHistory before any evaluation.
     """
     modes = list(source.modes if modes is None else modes)
     if not modes:
         raise InvalidDemonstration("transfer needs at least one mode")
 
-    chain = source.chain
-    source_states = rows([*chain.seed_states, *chain.states])
-    if not len(source_states):
-        raise ValueError("source model has an empty chain")
+    chain, source_states = source.chain, source.chain_states()
     history = ChainHistory(proposal_sourced=False)
     history.seed_state(source_states, np.concatenate([chain.seed_densities, chain.densities]))
 

@@ -13,7 +13,7 @@ from graspmc.darting import (
     jump_transform,
     select_jump_target,
 )
-from graspmc.errors import NoRegions
+from graspmc.errors import InvalidConfig, NoRegions
 from graspmc.grasping import canonicalize_grasp_vector
 from graspmc.targets import TargetValue, gaussian_mixture_target
 
@@ -147,7 +147,7 @@ class TestJumpTransform:
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
 def test_config_refuses_a_nonpositive_or_nonfinite_epsilon(bad):
-    with pytest.raises(ValueError, match="epsilon"):
+    with pytest.raises(InvalidConfig, match="epsilon"):
         DartingConfig(p_check=0.6, epsilon=bad)
 
 

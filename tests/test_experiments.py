@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from graspmc import cli, experiments, learning
 from graspmc import quaternions as quat
 from graspmc.cli import main as cli_main
+from graspmc.darting import build_jump_region
 from graspmc.errors import (
     DemonstrationFailure,
     GraspMCError,
@@ -39,7 +40,8 @@ from graspmc.experiments import (
 )
 from graspmc.grasping import Grasp, demonstrate_grasps
 from graspmc.gripper import GripperModel, default_gripper
-from graspmc.learning import Tally
+from graspmc.history import ChainHistory
+from graspmc.learning import LearnedModel, Tally
 from graspmc.objects import OBJECT_NAMES, get_object
 from graspmc.serialization import model_from_document, model_to_document
 
@@ -686,6 +688,30 @@ class TestCli:
         cli_main(["export", "--model", str(model_path), "--out", str(cloud)])
         doc = json.loads(cloud.read_text())
         assert doc["schema"] == "graspmc.export/1"
+
+    def test_transfer_from_an_empty_chain_is_refused_before_the_search(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A model document whose chain holds no state reads, but a transfer
+        from it exits 2 with the library's message and searches nothing."""
+        region = build_jump_region(np.zeros(7), np.eye(7), 0.7)
+        mode = Grasp(np.array([0.085, 0.0, 0.02]), np.array([1.0, 0.0, 0.0, 0.0]))
+        empty = LearnedModel("plate", ChainHistory(), [mode], [region], mode_densities=[0.0])
+        source = tmp_path / "empty.model.json"
+        source.write_text(model_to_document(empty))
+        assert not len(model_from_document(source.read_text()).chain.seed_states)
+
+        def no_search(*args):
+            raise AssertionError("the transfer searched for demonstrations")
+
+        monkeypatch.setattr(experiments, "_demonstrations", no_search)
+        with pytest.raises(SystemExit) as caught:
+            cli_main(["transfer", "--experiment", TRANSFER_ACTUAL_MODES, "--object", "soup_plate",
+                      "--seed", "0", "--source", str(source), "--out-dir", str(tmp_path / "runs")])
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "graspmc: error: the plate source model has an empty chain\n"
+        assert captured.out == "" and not any((tmp_path / "runs").iterdir())
 
     def test_transfer_requires_seed(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from graspmc import grasping
 from graspmc import quaternions as quat
 from graspmc import sdf
-from graspmc.errors import DemonstrationFailure
+from graspmc.errors import DemonstrationFailure, InvalidConfig
 from graspmc.grasping import (
     CLOSING_AXIS,
     COLLISION,
@@ -38,7 +38,6 @@ from graspmc.grasping import (
     sample_surface_point,
     _climb,
     _cross,
-    _grips,
     _heuristic_orientation,
     _jaw_contacts,
     _material_thickness,
@@ -107,7 +106,7 @@ class TestOutcomeTypes:
 @pytest.mark.parametrize("name", ["jaw_span", "finger_length", "finger_width", "palm_depth"])
 def test_gripper_refuses_a_nonpositive_or_nonfinite_dimension(name, bad):
     dimensions = dataclasses.asdict(GRIPPER) | {name: bad}
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(InvalidConfig, match=name):
         GripperModel(**dimensions)
 
 
@@ -288,9 +287,11 @@ class CountingSdf(sdf.Sdf):
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
+        self.sizes = []  # the number of points of each call
 
     def distance(self, points):
         self.calls += 1
+        self.sizes.append(np.size(points) // 3)
         return self.inner.distance(points)
 
 
@@ -438,13 +439,20 @@ def test_evaluate_grasp_matches_reference_with_no_more_sdf_calls(case):
         assert ours.shape.calls <= 4
 
 
-def test_grips_make_three_sdf_calls_for_a_batch():
+def test_outcomes_grip_a_batch_in_one_march_and_one_normal_call():
+    """Twelve rim pinches, none colliding: after the probe calls the batch
+    makes exactly one march call over its 24 jaw lines, at most one
+    bisection call and one normal call (six offsets of each contact)."""
     plate = counting(get_object("plate"))
     grasps = [rim_pinch_grasp(azimuth=a) for a in np.linspace(0.0, 3.0, 12)]
-    rotations = np.array([quat.rotation_matrix(g.orientation) for g in grasps])
-    outcomes = _grips(grasps[0].position, rotations, plate, GRIPPER)
-    assert outcomes[0].kind == SUCCESS
-    assert plate.shape.calls == 3
+    positions = np.array([g.position for g in grasps])
+    orientations = np.array([g.orientation for g in grasps])
+    assert {o.kind for o in _outcomes(positions, orientations, plate, GRIPPER)} == {SUCCESS}
+    sizes = plate.shape.sizes
+    march = sizes.index(len(grasps) * 2 * (grasping.MARCH_STEPS + 1))
+    assert sum(sizes[:march]) == len(grasps) * len(probe_points(GRIPPER))
+    assert len(sizes) - march in (2, 3)
+    assert sizes[-1] == len(grasps) * 2 * 6
 
 
 finite_3 = st.tuples(*[
@@ -813,7 +821,7 @@ def test_culled_position_draws_every_trial_and_calls_no_sdf(monkeypatch):
         expected = search_result(reference_search, box, 1, seed=4)
         assert expected[0] == "3 attempts produced 0/1 demonstrations"
         monkeypatch.setattr(grasping, "_outcomes", counted)
-        monkeypatch.setattr(grasping, "_grips", never)
+        monkeypatch.setattr(grasping, "_jaw_contacts", never)
         assert search_result(demonstrate_grasps, box, 1, seed=4) == expected
     assert calls and not any(calls)
 
@@ -840,7 +848,7 @@ def test_colliding_restarts_draw_every_trial_and_grip_nothing(monkeypatch):
         expected = search_result(reference_search, box, 1, seed=4)
         assert expected[0] == "3 attempts produced 0/1 demonstrations"
         monkeypatch.setattr(grasping, "_outcomes", recorded)
-        monkeypatch.setattr(grasping, "_grips", never)
+        monkeypatch.setattr(grasping, "_jaw_contacts", never)
         assert search_result(demonstrate_grasps, box, 1, seed=4) == expected
     restarts = grasping.TRIALS_PER_POINT // grasping.RESTART_EVERY
     assert evaluations == [[COLLISION] * restarts] * 3
@@ -891,7 +899,7 @@ def test_climb_keeps_the_incumbent_on_a_tie(script, monkeypatch):
 def test_search_arguments_are_checked_before_any_draw(bad):
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         demonstrate_grasps(get_object("plate"), GRIPPER, bad["count"], rng)
     assert rng.bit_generator.state == before
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graspmc.darting import DartingConfig, build_jump_region, contains_state, jump_transform
-from graspmc.errors import DecompositionFailure, EmptyHistory, ZeroQuaternion
+from graspmc.errors import DecompositionFailure, EmptyHistory, InvalidConfig, ZeroQuaternion
 from graspmc import kameleon, linalg
 from graspmc.grasping import canonicalize_grasp_vector
 from graspmc.history import MOVE_DTYPE, OUTCOME_CODES, OUTCOME_LABELS, ChainHistory, rows
@@ -182,7 +182,7 @@ def constant_then_zero_target(zero_region_x):
 )
 def test_config_refuses_a_nonfinite_or_out_of_range_scale(name, bad):
     values = {"gamma": 0.5, "nu": 1.0, "subsample_size": 10} | {name: bad}
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(InvalidConfig, match=name):
         KameleonConfig(**values)
 
 

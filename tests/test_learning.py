@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from graspmc import learning
 from graspmc import quaternions as quat
 from graspmc.darting import DartingConfig, build_jump_region, symmetric_acceptance
-from graspmc.errors import GraspMCError, InvalidConfig, InvalidDemonstration
+from graspmc.errors import EmptyHistory, GraspMCError, InvalidConfig, InvalidDemonstration
 from graspmc.grasping import (
     OUTCOME_KINDS, Grasp, canonicalize_grasp_vector, demonstrate_grasps, make_target,
 )
@@ -37,7 +37,7 @@ from graspmc.serialization import (
     sketch_to_document,
 )
 from graspmc.targets import gaussian_mixture_target
-from graspmc.vmf import VonMisesFisher, sample_vmf
+from graspmc.vmf import VonMisesFisher, draw_vmf, sample_vmf
 
 GRIPPER = default_gripper()
 KAMELEON = KameleonConfig(gamma=1e-4, nu=2.38 / np.sqrt(6), subsample_size=100, burn_in=100)
@@ -187,6 +187,31 @@ def test_prefetched_walk_is_the_one_step_walk(
     assert rng.bit_generator.state == rng_ref.bit_generator.state
     assert ours.accepted.any()
     assert sum(batches) > iterations > len(batches)
+
+
+@pytest.mark.parametrize("name", ["pitcher", "pan", "plate"])
+@pytest.mark.parametrize(
+    "position_sigma, kappa, iterations", [(0.10, 50.0, 1100), (0.002, 2000.0, 301)]
+)
+def test_walk_draws_each_iteration_once(name, position_sigma, kappa, iterations, monkeypatch):
+    """A prefetched batch cut short by an acceptance keeps its later draws
+    for the iterations they belong to, so the walk makes one vMF draw per
+    iteration."""
+    obj, start = walk_start(name)
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return draw_vmf(*args)
+
+    monkeypatch.setattr(learning, "draw_vmf", counted)
+    ours = ChainHistory(proposal_sourced=True)
+    build_rough_sketch(
+        obj, GRIPPER, iterations, start, position_sigma, kappa, np.random.default_rng(2),
+        history=ours,
+    )
+    assert ours.accepted.any()
+    assert len(draws) == iterations
 
 
 class TestActiveLearn:
@@ -356,6 +381,22 @@ class TestTransfer:
             with pytest.raises(InvalidDemonstration):
                 transfer_learn(
                     get_object("soup_plate"), GRIPPER, modeless, modes,
+                    KAMELEON, DARTING, 40, np.random.default_rng(0),
+                )
+
+    def test_empty_source_chain_rejected_before_any_evaluation(self, monkeypatch):
+        region = build_jump_region(np.zeros(7), np.eye(7), 0.7)
+        mode = Grasp(np.array([0.085, 0.0, 0.02]), np.array([1.0, 0.0, 0.0, 0.0]))
+        empty = LearnedModel("plate", ChainHistory(), [mode], [region])
+
+        def no_target(*args, **kwargs):
+            raise AssertionError("the transfer built its target")
+
+        monkeypatch.setattr(learning, "make_target", no_target)
+        for modes in ([mode], None):
+            with pytest.raises(EmptyHistory, match="empty chain"):
+                transfer_learn(
+                    get_object("soup_plate"), GRIPPER, empty, modes,
                     KAMELEON, DARTING, 40, np.random.default_rng(0),
                 )
 
